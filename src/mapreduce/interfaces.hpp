@@ -56,7 +56,26 @@ class Mapper {
  public:
   virtual ~Mapper() = default;
 
+  /// Called once before the split's first record with the regions the
+  /// split covers, so a mapper can size per-split state up front. A
+  /// mapper may be fed without this call (unit tests, hand-written loops);
+  /// it must then assume nothing about which keys will arrive.
+  virtual void beginSplit(std::span<const nd::Region> /*regions*/) {}
+
   virtual void map(const nd::Coord& key, double value, MapContext& ctx) = 0;
+
+  /// Row-run entry point: `values[i]` is the value at `start` with the
+  /// last coordinate advanced by i (rank-0 keys come as runs of one).
+  /// Mappers that can work per run — translate the key once, not per
+  /// record — override this; the default feeds map() record by record.
+  virtual void mapRun(const nd::Coord& start, std::span<const double> values,
+                      MapContext& ctx) {
+    nd::Coord key = start;
+    for (double v : values) {
+      map(key, v, ctx);
+      if (key.rank() > 0) ++key[key.rank() - 1];
+    }
+  }
 
   /// Called once after the split is exhausted; mappers that buffer
   /// (combining mappers) flush here.

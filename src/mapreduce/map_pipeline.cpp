@@ -1,5 +1,6 @@
 #include "mapreduce/map_pipeline.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -7,6 +8,30 @@
 #include "obs/trace.hpp"
 
 namespace sidr::mr {
+
+namespace {
+
+/// Length of the row run starting at keys[i] within keys[i, n): records
+/// that share every coordinate but the last, whose last coordinate
+/// rises by exactly one per record. Rank-0 keys form runs of one.
+std::size_t rowRunLength(const std::vector<nd::Coord>& keys, std::size_t i,
+                         std::size_t n) {
+  const nd::Coord& start = keys[i];
+  if (start.rank() == 0) return 1;
+  const std::size_t last = start.rank() - 1;
+  std::size_t j = i + 1;
+  for (; j < n; ++j) {
+    const nd::Coord& k = keys[j];
+    if (k.rank() != start.rank() ||
+        k[last] != start[last] + static_cast<nd::Index>(j - i) ||
+        !std::equal(start.begin(), start.begin() + last, k.begin())) {
+      break;
+    }
+  }
+  return j - i;
+}
+
+}  // namespace
 
 BufferingMapContext::BufferingMapContext(const Partitioner& partitioner,
                                          std::uint32_t numReducers,
@@ -120,6 +145,12 @@ void BufferingMapContext::emit(const nd::Coord& key, Value value,
 Segment BufferingMapContext::takeSegment(std::uint32_t mapTask,
                                          std::uint32_t kb,
                                          const Combiner* combiner) {
+  // The reserve hint assumes one emit per input record; aggregating
+  // mappers emit one per cell. Unused capacity would otherwise travel
+  // with the segment into the shuffle and the segment cache.
+  if (linearized() && packed_[kb].capacity() > 2 * packed_[kb].size()) {
+    packed_[kb].shrink_to_fit();
+  }
   Segment seg = linearized()
                     ? Segment(mapTask, kb, std::move(packed_[kb]),
                               std::move(lists_[kb]), keySpace_)
@@ -154,6 +185,7 @@ std::vector<Segment> runMapPipeline(const InputSplit& split,
   std::vector<double> values(kBatch);
   // A split may carry several regions (byte-range splits decompose into
   // up to 2*rank+1 boxes); the mapper sees them as one record stream.
+  mapper.beginSplit(split.regions);
   for (const nd::Region& region : split.regions) {
     auto reader = readerFactory(region);
     while (true) {
@@ -166,7 +198,11 @@ std::vector<Segment> runMapPipeline(const InputSplit& split,
       }
       if (n == 0) break;
       obs::SpanScope mapSpan(obs::Phase::kMap, obs::TaskSide::kMap, mapTask);
-      for (std::size_t i = 0; i < n; ++i) mapper.map(keys[i], values[i], ctx);
+      for (std::size_t i = 0; i < n;) {
+        const std::size_t len = rowRunLength(keys, i, n);
+        mapper.mapRun(keys[i], {values.data() + i, len}, ctx);
+        i += len;
+      }
       mapSpan.setRecords(n);
     }
   }

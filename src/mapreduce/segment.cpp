@@ -62,13 +62,13 @@ void radixSortPacked(std::vector<PackedRecord>& records) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t k = records[i].lin;
     front[i] = LinIdx{k, static_cast<std::uint32_t>(i)};
-    for (int b = 0; b < 8; ++b) ++counts[b][(k >> (8 * b)) & 0xff];
+    for (std::size_t b = 0; b < 8; ++b) ++counts[b][(k >> (8 * b)) & 0xff];
   }
   LinIdx* src = front.data();
   LinIdx* dst = back.data();
-  for (int pass = 0; pass < 8; ++pass) {
+  for (std::size_t pass = 0; pass < 8; ++pass) {
     std::array<std::uint32_t, 256>& c = counts[pass];
-    const int shift = 8 * pass;
+    const std::size_t shift = 8 * pass;
     // A byte that is constant across the segment contributes nothing to
     // the order: a stable counting scatter on it is the identity.
     if (c[(src[0].lin >> shift) & 0xff] == n) {
@@ -436,7 +436,8 @@ class Writer {
   void words(const T* src, std::size_t n) {
     static_assert(sizeof(T) == 8);
     if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(p_, src, n * 8);
+      // n == 0 may come with a null `src` (an empty vector's data()).
+      if (n > 0) std::memcpy(p_, src, n * 8);
       p_ += n * 8;
     } else {
       for (std::size_t i = 0; i < n; ++i) {
@@ -514,7 +515,7 @@ class Reader {
   void wordsUnchecked(T* dst, std::size_t n) {
     static_assert(sizeof(T) == 8);
     if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(dst, p_, n * 8);
+      if (n > 0) std::memcpy(dst, p_, n * 8);
       p_ += n * 8;
     } else {
       for (std::size_t i = 0; i < n; ++i) {
@@ -1165,7 +1166,7 @@ bool SegmentStream::tryDecodeUncompressed() {
       p += 8;
       std::vector<double> xs(n);
       if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(xs.data(), p, static_cast<std::size_t>(n) * 8);
+        if (n > 0) std::memcpy(xs.data(), p, static_cast<std::size_t>(n) * 8);
       } else {
         for (std::uint64_t i = 0; i < n; ++i) xs[i] = loadF64(p + 8 * i);
       }
@@ -1229,7 +1230,7 @@ bool SegmentStream::tryDecodeCompressed() {
       if (static_cast<std::uint64_t>(end - p) < 8 * n) return false;
       std::vector<double> xs(n);
       if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(xs.data(), p, static_cast<std::size_t>(n) * 8);
+        if (n > 0) std::memcpy(xs.data(), p, static_cast<std::size_t>(n) * 8);
       } else {
         for (std::uint64_t i = 0; i < n; ++i) xs[i] = loadF64(p + 8 * i);
       }

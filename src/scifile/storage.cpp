@@ -1,9 +1,13 @@
 #include "scifile/storage.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
-#include <unistd.h>
 
 namespace sidr::sci {
 
@@ -12,11 +16,15 @@ void MemoryStorage::readAt(std::uint64_t offset,
   if (offset + buf.size() > bytes_.size()) {
     throw std::out_of_range("MemoryStorage::readAt: past end");
   }
-  std::memcpy(buf.data(), bytes_.data() + offset, buf.size());
+  // An empty read may meet an empty (null-data) store: memcpy forbids it.
+  if (!buf.empty()) {
+    std::memcpy(buf.data(), bytes_.data() + offset, buf.size());
+  }
 }
 
 void MemoryStorage::writeAt(std::uint64_t offset,
                             std::span<const std::byte> buf) {
+  if (buf.empty()) return;
   if (offset + buf.size() > bytes_.size()) {
     bytes_.resize(offset + buf.size());
   }
@@ -32,35 +40,40 @@ namespace {
 }  // namespace
 
 FileStorage::FileStorage(const std::string& path, Mode mode) : path_(path) {
-  const char* flags = nullptr;
+  int flags = 0;
   switch (mode) {
     case Mode::kCreate:
-      flags = "w+b";
+      flags = O_RDWR | O_CREAT | O_TRUNC;
       writable_ = true;
       break;
     case Mode::kOpenExisting:
-      flags = "r+b";
+      flags = O_RDWR;
       writable_ = true;
       break;
     case Mode::kOpenReadOnly:
-      flags = "rb";
+      flags = O_RDONLY;
       writable_ = false;
       break;
   }
-  file_ = std::fopen(path.c_str(), flags);
-  if (file_ == nullptr) throwErrno("FileStorage: open failed", path_);
+  fd_ = ::open(path.c_str(), flags | O_CLOEXEC, 0666);
+  if (fd_ < 0) throwErrno("FileStorage: open failed", path_);
 }
 
 FileStorage::~FileStorage() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void FileStorage::readAt(std::uint64_t offset, std::span<std::byte> buf) const {
-  if (::fseeko(file_, static_cast<off_t>(offset), SEEK_SET) != 0) {
-    throwErrno("FileStorage: seek failed", path_);
-  }
-  if (std::fread(buf.data(), 1, buf.size(), file_) != buf.size()) {
-    throw std::runtime_error("FileStorage: short read in " + path_);
+  std::size_t done = 0;
+  while (done < buf.size()) {
+    const ssize_t n = ::pread(fd_, buf.data() + done, buf.size() - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throwErrno("FileStorage: read failed", path_);
+    }
+    if (n == 0) throw std::runtime_error("FileStorage: short read in " + path_);
+    done += static_cast<std::size_t>(n);
   }
 }
 
@@ -69,39 +82,35 @@ void FileStorage::writeAt(std::uint64_t offset,
   if (!writable_) {
     throw std::logic_error("FileStorage: write to read-only file " + path_);
   }
-  if (::fseeko(file_, static_cast<off_t>(offset), SEEK_SET) != 0) {
-    throwErrno("FileStorage: seek failed", path_);
-  }
-  if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size()) {
-    throwErrno("FileStorage: write failed", path_);
+  std::size_t done = 0;
+  while (done < buf.size()) {
+    const ssize_t n = ::pwrite(fd_, buf.data() + done, buf.size() - done,
+                               static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throwErrno("FileStorage: write failed", path_);
+    }
+    done += static_cast<std::size_t>(n);
   }
 }
 
 std::uint64_t FileStorage::size() const {
-  if (::fseeko(file_, 0, SEEK_END) != 0) {
-    throwErrno("FileStorage: seek failed", path_);
-  }
-  off_t pos = ::ftello(file_);
-  if (pos < 0) throwErrno("FileStorage: tell failed", path_);
-  return static_cast<std::uint64_t>(pos);
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) throwErrno("FileStorage: stat failed", path_);
+  return static_cast<std::uint64_t>(st.st_size);
 }
 
 void FileStorage::resize(std::uint64_t newSize) {
-  // Extend by writing a final zero byte (sparse on most filesystems) or
-  // truncate via freopen-free ftruncate on the underlying descriptor.
-  std::fflush(file_);
-  if (::ftruncate(fileno(file_), static_cast<off_t>(newSize)) != 0) {
+  if (::ftruncate(fd_, static_cast<off_t>(newSize)) != 0) {
     throwErrno("FileStorage: ftruncate failed", path_);
   }
 }
 
 void FileStorage::flush() {
-  if (std::fflush(file_) != 0) throwErrno("FileStorage: flush failed", path_);
-  // Durability matters for the output-scaling measurements (Table 2):
-  // without it, write timings measure the page cache, not the medium.
-  if (::fsync(fileno(file_)) != 0) {
-    throwErrno("FileStorage: fsync failed", path_);
-  }
+  // Writes go straight to the descriptor, so only durability is left.
+  // It matters for the output-scaling measurements (Table 2): without
+  // it, write timings measure the page cache, not the medium.
+  if (::fsync(fd_) != 0) throwErrno("FileStorage: fsync failed", path_);
 }
 
 }  // namespace sidr::sci

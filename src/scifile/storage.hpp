@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <span>
 #include <string>
@@ -50,7 +49,10 @@ class MemoryStorage final : public Storage {
   std::vector<std::byte> bytes_;
 };
 
-/// Buffered stdio-backed file storage with RAII ownership of the handle.
+/// File storage over one owned descriptor. Every read and write is a
+/// positioned pread/pwrite with no shared file offset or user-space
+/// buffer, so concurrent readAt calls (parallel map tasks over one
+/// dataset) are safe and every read sees all earlier writes.
 class FileStorage final : public Storage {
  public:
   enum class Mode { kCreate, kOpenExisting, kOpenReadOnly };
@@ -71,7 +73,7 @@ class FileStorage final : public Storage {
 
  private:
   std::string path_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   bool writable_ = false;
 };
 

@@ -8,22 +8,21 @@ namespace sidr::sh {
 StructuralMapper::StructuralMapper(
     const StructuralQuery& query,
     std::shared_ptr<const ExtractionMap> extraction)
-    : query_(query), extraction_(std::move(extraction)) {}
+    : query_(query), cells_(std::move(extraction)) {}
+
+void StructuralMapper::beginSplit(std::span<const nd::Region> regions) {
+  cells_.cover(regions);
+}
 
 void StructuralMapper::map(const nd::Coord& key, double value,
-                           mr::MapContext& /*ctx*/) {
-  auto kp = extraction_->keyFor(key);
-  if (!kp) return;  // stride gap or truncated edge: produces nothing
-  CellState* cellPtr;
-  if (lastKp_ != nullptr && *lastKp_ == *kp) {
-    cellPtr = lastCell_;
-  } else {
-    auto it = cells_.try_emplace(*kp).first;
-    lastKp_ = &it->first;
-    lastCell_ = cellPtr = &it->second;
-  }
-  CellState& cell = *cellPtr;
-  ++cell.consumed;
+                           mr::MapContext& ctx) {
+  mapRun(key, {&value, 1}, ctx);
+}
+
+void StructuralMapper::mapRun(const nd::Coord& start,
+                              std::span<const double> values,
+                              mr::MapContext& /*ctx*/) {
+  using Slot = DenseCells<CellState>::Slot;
   switch (query_.op) {
     case OperatorKind::kMean:
     case OperatorKind::kSum:
@@ -31,15 +30,36 @@ void StructuralMapper::map(const nd::Coord& key, double value,
     case OperatorKind::kMax:
     case OperatorKind::kCount:
     case OperatorKind::kRange:
-      cell.partial.merge(mr::Partial::ofValue(value));
-      break;
+      cells_.addRun(start, values,
+                    [](Slot& slot, std::size_t, std::span<const double> xs) {
+                      for (double v : xs) {
+                        slot.cell.partial.merge(mr::Partial::ofValue(v));
+                      }
+                    });
+      return;
     case OperatorKind::kMedian:
     case OperatorKind::kSort:
-      cell.list.push_back(value);
-      break;
-    case OperatorKind::kFilter:
-      if (value > query_.filterThreshold) cell.list.push_back(value);
-      break;
+      cells_.addRun(start, values,
+                    [this](Slot& slot, std::size_t index,
+                           std::span<const double> xs) {
+                      std::vector<double>& list = slot.cell.list;
+                      if (slot.consumed == 0) {
+                        list.reserve(cells_.inSplitCount(index));
+                      }
+                      list.insert(list.end(), xs.begin(), xs.end());
+                    });
+      return;
+    case OperatorKind::kFilter: {
+      const double threshold = query_.filterThreshold;
+      cells_.addRun(start, values,
+                    [threshold](Slot& slot, std::size_t,
+                                std::span<const double> xs) {
+                      for (double v : xs) {
+                        if (v > threshold) slot.cell.list.push_back(v);
+                      }
+                    });
+      return;
+    }
     case OperatorKind::kJoin:
       throw std::logic_error(
           "StructuralMapper: kJoin needs the two-input JoinSideMapper "
@@ -48,15 +68,12 @@ void StructuralMapper::map(const nd::Coord& key, double value,
 }
 
 void StructuralMapper::finish(mr::MapContext& ctx) {
-  for (auto& [kp, cell] : cells_) {
-    mr::Value v = isDistributive(query_.op)
-                      ? mr::Value::partial(cell.partial)
-                      : mr::Value::list(std::move(cell.list));
-    ctx.emit(kp, std::move(v), cell.consumed);
-  }
-  cells_.clear();
-  lastKp_ = nullptr;
-  lastCell_ = nullptr;
+  const bool distributive = isDistributive(query_.op);
+  cells_.drain([&](const nd::Coord& key, DenseCells<CellState>::Slot& slot) {
+    mr::Value v = distributive ? mr::Value::partial(slot.cell.partial)
+                               : mr::Value::list(std::move(slot.cell.list));
+    ctx.emit(key, std::move(v), slot.consumed);
+  });
 }
 
 mr::Value finalizeCell(const StructuralQuery& query, const mr::Partial& p,
@@ -102,6 +119,11 @@ void StructuralReducer::reduce(const nd::Coord& key,
                                mr::ReduceContext& ctx) {
   mr::Partial merged;
   std::vector<double> list;
+  std::size_t listed = 0;
+  for (const mr::Value* v : values) {
+    if (v->kind() == mr::ValueKind::kList) listed += v->asList().size();
+  }
+  list.reserve(listed);
   for (const mr::Value* v : values) {
     if (v->kind() == mr::ValueKind::kPartial) {
       merged.merge(v->asPartial());
@@ -167,41 +189,42 @@ std::vector<mr::KeyValue> runSerialOracle(const StructuralQuery& query,
 JoinSideMapper::JoinSideMapper(
     std::shared_ptr<const ExtractionMap> extraction, double keepAbove,
     std::uint8_t side)
-    : extraction_(std::move(extraction)),
-      keepAbove_(keepAbove),
-      sideTag_(side == 0 ? 0.0 : 1.0) {
+    : keepAbove_(keepAbove),
+      sideTag_(side == 0 ? 0.0 : 1.0),
+      cells_(std::move(extraction)) {
   if (side > 1) {
     throw std::invalid_argument("JoinSideMapper: side must be 0 or 1");
   }
 }
 
+void JoinSideMapper::beginSplit(std::span<const nd::Region> regions) {
+  cells_.cover(regions);
+}
+
 void JoinSideMapper::map(const nd::Coord& key, double value,
-                         mr::MapContext& /*ctx*/) {
-  auto kp = extraction_->keyFor(key);
-  if (!kp) return;  // stride gap or truncated edge: produces nothing
-  CellState* cellPtr;
-  if (lastKp_ != nullptr && *lastKp_ == *kp) {
-    cellPtr = lastCell_;
-  } else {
-    auto it = cells_.try_emplace(*kp).first;
-    lastKp_ = &it->first;
-    lastCell_ = cellPtr = &it->second;
-  }
-  ++cellPtr->consumed;
-  if (value > keepAbove_) cellPtr->values.push_back(value);
+                         mr::MapContext& ctx) {
+  mapRun(key, {&value, 1}, ctx);
+}
+
+void JoinSideMapper::mapRun(const nd::Coord& start,
+                            std::span<const double> values,
+                            mr::MapContext& /*ctx*/) {
+  cells_.addRun(start, values,
+                [this](DenseCells<std::vector<double>>::Slot& slot,
+                       std::size_t, std::span<const double> xs) {
+                  std::vector<double>& tagged = slot.cell;
+                  if (slot.consumed == 0) tagged.push_back(sideTag_);
+                  for (double v : xs) {
+                    if (v > keepAbove_) tagged.push_back(v);
+                  }
+                });
 }
 
 void JoinSideMapper::finish(mr::MapContext& ctx) {
-  for (auto& [kp, cell] : cells_) {
-    std::vector<double> tagged;
-    tagged.reserve(cell.values.size() + 1);
-    tagged.push_back(sideTag_);
-    tagged.insert(tagged.end(), cell.values.begin(), cell.values.end());
-    ctx.emit(kp, mr::Value::list(std::move(tagged)), cell.consumed);
-  }
-  cells_.clear();
-  lastKp_ = nullptr;
-  lastCell_ = nullptr;
+  cells_.drain([&](const nd::Coord& key,
+                   DenseCells<std::vector<double>>::Slot& slot) {
+    ctx.emit(key, mr::Value::list(std::move(slot.cell)), slot.consumed);
+  });
 }
 
 void JoinReducer::reduce(const nd::Coord& key,

@@ -13,38 +13,36 @@
 // (section 3.2.1, method 2).
 #pragma once
 
-#include <map>
-
 #include "mapreduce/interfaces.hpp"
+#include "scihadoop/dense_cells.hpp"
 #include "scihadoop/extraction.hpp"
 #include "scihadoop/record_reader.hpp"
 
 namespace sidr::sh {
 
+/// Accumulates each extraction cell of its split in a DenseCells array
+/// fed by row runs; finish() emits the touched cells in ascending key
+/// order. Median and sort lists are reserved to their exact in-split
+/// size on first touch; filter lists are not (most values may fail).
 class StructuralMapper final : public mr::Mapper {
  public:
   StructuralMapper(const StructuralQuery& query,
                    std::shared_ptr<const ExtractionMap> extraction);
 
+  void beginSplit(std::span<const nd::Region> regions) override;
   void map(const nd::Coord& key, double value, mr::MapContext& ctx) override;
+  void mapRun(const nd::Coord& start, std::span<const double> values,
+              mr::MapContext& ctx) override;
   void finish(mr::MapContext& ctx) override;
 
  private:
   struct CellState {
     mr::Partial partial;
     std::vector<double> list;
-    std::uint64_t consumed = 0;
   };
 
   StructuralQuery query_;
-  std::shared_ptr<const ExtractionMap> extraction_;
-  std::map<nd::Coord, CellState> cells_;
-  // Last (intermediate key -> cell) lookup: a row-major record stream
-  // hits the same extraction cell extractionShape[last] times in a row,
-  // so the tree lookup is paid once per run. std::map node pointers are
-  // stable under insertion, and nothing erases until finish().
-  const nd::Coord* lastKp_ = nullptr;
-  CellState* lastCell_ = nullptr;
+  DenseCells<CellState> cells_;
 };
 
 class StructuralReducer final : public mr::Reducer {
@@ -91,21 +89,17 @@ class JoinSideMapper final : public mr::Mapper {
   JoinSideMapper(std::shared_ptr<const ExtractionMap> extraction,
                  double keepAbove, std::uint8_t side);
 
+  void beginSplit(std::span<const nd::Region> regions) override;
   void map(const nd::Coord& key, double value, mr::MapContext& ctx) override;
+  void mapRun(const nd::Coord& start, std::span<const double> values,
+              mr::MapContext& ctx) override;
   void finish(mr::MapContext& ctx) override;
 
  private:
-  struct CellState {
-    std::vector<double> values;
-    std::uint64_t consumed = 0;
-  };
-
-  std::shared_ptr<const ExtractionMap> extraction_;
   double keepAbove_;
   double sideTag_;
-  std::map<nd::Coord, CellState> cells_;
-  const nd::Coord* lastKp_ = nullptr;
-  CellState* lastCell_ = nullptr;
+  /// Per cell: the side tag, then the surviving values in input order.
+  DenseCells<std::vector<double>> cells_;
 };
 
 /// Reduce-side join: splits the fetched lists by side tag, sorts each

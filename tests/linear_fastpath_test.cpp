@@ -134,7 +134,7 @@ void expectEventLogWellPaired(const mr::JobResult& result) {
 TEST(MapPipelineParity, RandomizedSegmentsBitIdentical) {
   std::mt19937_64 rng(20260806);
   for (int trial = 0; trial < 12; ++trial) {
-    const std::size_t rank = trial % 4 + 1;
+    const auto rank = static_cast<std::size_t>(trial % 4 + 1);
     const nd::Coord keySpace = randomShape(rng, rank, 2, 7);
     const nd::Coord inputShape = randomShape(rng, rank, 3, 9);
     const std::uint32_t reducers = trial % 2 ? 3 : 5;
@@ -161,7 +161,7 @@ TEST(MapPipelineParity, CombinerSegmentsBitIdentical) {
   std::mt19937_64 rng(7);
   mr::PartialMergeCombiner combiner;
   for (int trial = 0; trial < 6; ++trial) {
-    const std::size_t rank = trial % 3 + 1;
+    const auto rank = static_cast<std::size_t>(trial % 3 + 1);
     const nd::Coord keySpace = randomShape(rng, rank, 2, 5);
     const nd::Coord inputShape = randomShape(rng, rank, 4, 9);
     SCOPED_TRACE("trial " + std::to_string(trial));

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <random>
+#include <thread>
+#include <vector>
 
 #include "scifile/cdl.hpp"
 #include "scifile/dataset.hpp"
@@ -121,6 +125,79 @@ TEST(FileStorage, ReadWritePersistence) {
     s.readAt(10, back);
     EXPECT_EQ(back, data);
     EXPECT_THROW(s.writeAt(0, data), std::logic_error);
+  }
+}
+
+TEST(MemoryStorage, EmptyAccessOnEmptyStore) {
+  MemoryStorage s;
+  std::vector<std::byte> none;
+  s.writeAt(0, none);
+  s.readAt(0, none);
+  EXPECT_EQ(s.size(), 0u);
+}
+
+TEST(FileStorage, ReadsSeeEarlierWritesWithoutFlush) {
+  TempDir dir;
+  FileStorage s(dir.file("f.bin"), FileStorage::Mode::kCreate);
+  std::vector<std::byte> data(64, std::byte{0x5A});
+  s.writeAt(8, data);
+  EXPECT_EQ(s.size(), 72u);
+  std::vector<std::byte> back(64);
+  s.readAt(8, back);
+  EXPECT_EQ(back, data);
+  s.resize(80);
+  std::vector<std::byte> tail(8, std::byte{0xFF});
+  s.readAt(72, tail);
+  EXPECT_EQ(tail, std::vector<std::byte>(8, std::byte{0}));
+  EXPECT_THROW(s.readAt(76, tail), std::runtime_error);
+}
+
+std::byte patternByte(std::uint64_t offset) {
+  return static_cast<std::byte>((offset * 131 + offset / 251) & 0xff);
+}
+
+TEST(FileStorage, ConcurrentReaderHammer) {
+  // Parallel map tasks share one dataset's storage: every reader must
+  // get exactly the bytes at its own offset while others read (and
+  // write disjoint ranges) at the same time.
+  TempDir dir;
+  FileStorage s(dir.file("f.bin"), FileStorage::Mode::kCreate);
+  constexpr std::uint64_t kShared = 1 << 18;
+  constexpr std::uint64_t kPrivate = 1 << 12;
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::byte> pattern(kShared);
+  for (std::uint64_t i = 0; i < kShared; ++i) pattern[i] = patternByte(i);
+  s.writeAt(0, pattern);
+
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(t + 1);
+      const std::uint64_t mine = kShared + t * kPrivate;
+      std::vector<std::byte> buf;
+      for (int i = 0; i < 2000; ++i) {
+        const std::uint64_t off = rng() % kShared;
+        buf.resize(static_cast<std::size_t>(rng() % (kShared - off) % 4096));
+        s.readAt(off, buf);
+        for (std::size_t j = 0; j < buf.size(); ++j) {
+          if (buf[j] != patternByte(off + j)) ++failures[t];
+        }
+        // A private range: this thread's write must be visible to its
+        // next read, whatever the other threads do meanwhile.
+        const auto tag = static_cast<std::byte>(i & 0xff);
+        std::vector<std::byte> word(8, tag);
+        const std::uint64_t at = mine + rng() % (kPrivate - 8);
+        s.writeAt(at, word);
+        std::vector<std::byte> back(8);
+        s.readAt(at, back);
+        if (back != word) ++failures[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
   }
 }
 

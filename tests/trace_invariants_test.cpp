@@ -167,8 +167,8 @@ TEST(TraceInvariants, BothShuffleModesWithFaultsDeterministic) {
   }
 }
 
-// Planner-built jobs emit in key order (the StructuralMapper flushes
-// its cell map at finish()), so the sorted-skip fast path elides every
+// Planner-built jobs emit in key order (the StructuralMapper drains its
+// dense cell box at finish()), so the sorted-skip fast path elides every
 // sort call. To exercise real sorts the job must emit out of order: a
 // transposing identity mapper reads row-major but keys column-major.
 mr::JobSpec transposeJob(nd::Index side, std::uint32_t numReducers) {
