@@ -88,9 +88,36 @@ for suite in "${ASAN_SUITES[@]}"; do
   "./build-asan/tests/${suite}"
 done
 
+# UBSan pass (fatal: the preset adds -fno-sanitize-recover=undefined,
+# so the first report aborts the binary instead of only logging). The
+# suites are the ones that move raw bytes and thread-local state:
+#   segment_test / linear_fastpath_test / sort_spill_parity_test
+#                                    the wire and compressed codecs,
+#                                    packed radix sorts, decode-time
+#                                    linearization of untrusted keys
+#   trace_invariants_test            the thread_local recorder pointer
+#   scifile_test                     the SNDF header/metadata decoder
+#                                    fuzz (absurd dimension lengths
+#                                    must not overflow a size)
+#   shuffle_transport_test           framed-decode fuzzing
+UBSAN_SUITES=(
+  segment_test
+  linear_fastpath_test
+  sort_spill_parity_test
+  trace_invariants_test
+  scifile_test
+  shuffle_transport_test
+)
+cmake --preset ubsan
+cmake --build --preset ubsan -j"$(nproc)" --target "${UBSAN_SUITES[@]}"
+for suite in "${UBSAN_SUITES[@]}"; do
+  "./build-ubsan/tests/${suite}"
+done
+
 # Keep the perf tree building and the map-side benchmark runnable: a
-# --quick pass catches bit-rot in the frozen legacy arm and the JSON
-# emission without waiting for stable timings. The quick pass also
+# --quick pass catches bit-rot in the frozen legacy arm (the seed's
+# lexicographic map loop, the one baseline arm beside the production
+# pipeline) and the JSON emission without waiting for stable timings. The quick pass also
 # emits BENCH_trace_phases.json (per-phase totals from a traced run)
 # and checks the disabled-recorder arm stays within its overhead gate.
 cmake --preset bench

@@ -16,22 +16,13 @@ std::vector<KeyValue> JobResult::collectAll() const {
   // copies: SegmentMerger streams straight out of the ReduceOutput
   // vectors and the result is filled through one exact-size reserve.
   std::size_t total = 0;
-  bool allLinear = true;
-  for (const ReduceOutput& out : outputs) {
-    total += out.records.size();
-    if (!out.records.empty() && out.linearKeys.size() != out.records.size()) {
-      // Any merged output lacking cached linear keys drops every cursor
-      // to Coord order, which the u64 order matches exactly (DESIGN.md
-      // section 11).
-      allLinear = false;
-    }
-  }
   std::vector<SegmentMerger::Input> inputs;
   inputs.reserve(outputs.size());
   for (const ReduceOutput& out : outputs) {
+    total += out.records.size();
     SegmentMerger::Input in;
     in.run = &out.records;
-    in.runLin = allLinear ? out.linearKeys.data() : nullptr;
+    in.runLin = out.linearKeys.data();
     inputs.push_back(in);
   }
   SegmentMerger merger{std::span<const SegmentMerger::Input>(inputs)};

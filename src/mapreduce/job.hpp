@@ -276,16 +276,14 @@ struct JobSpec {
   /// Worker threads executing tasks (a slot is only a capacity token).
   std::uint32_t numThreads = 4;
 
-  /// Optional bounding shape of the intermediate key space K' (the
-  /// output grid). When non-empty (a valid shape whose rank matches
-  /// every intermediate key), the engine switches on the linearized-key
-  /// fast path (DESIGN.md section 11): emit-time linearization, run-
-  /// cached partitioning, (u64, index) permutation sort, and u64 heap
-  /// compares in merge — all observably identical to the lexicographic
-  /// path because row-major linearization is an order-preserving
-  /// injection on the space. The planner populates this from
-  /// ExtractionMap::intermediateSpaceShape(); hand-built jobs may leave
-  /// it empty (rank 0) to run the fallback path.
+  /// Bounding shape of the intermediate key space K' (the output grid;
+  /// paper section 3.1) — required: validateJobSpec rejects an empty or
+  /// invalid shape. Every intermediate and output key must lie inside
+  /// it. Keys travel linearized in it (DESIGN.md section 11): emit-time
+  /// linearization, run-cached partitioning, packed radix sort and u64
+  /// heap compares in merge, all in key order because row-major
+  /// linearization is an order-preserving injection on the space. The
+  /// planner populates this from ExtractionMap::intermediateSpaceShape().
   nd::Coord keySpace;
 
   RecoveryModel recovery = RecoveryModel::kPersistAll;
@@ -336,8 +334,7 @@ struct JobSpec {
 
   /// Encode spill (and eviction) files with the varint/delta compressed
   /// framing instead of the fixed-width one. Requires spillDirectory
-  /// and a non-empty keySpace (the compressed framing is keyed on
-  /// linear keys).
+  /// (the compressed framing delta-encodes linear keys in keySpace).
   bool compressSpill = false;
 
   /// Canonical MapFingerprint of everything that determines this job's
@@ -406,9 +403,8 @@ struct TaskEvent {
 struct ReduceOutput {
   std::uint32_t keyblock = 0;
   std::vector<KeyValue> records;    ///< sorted by key
-  /// Parallel to `records` when JobSpec::keySpace was set and every
-  /// output key fits it: linearize(key, keySpace), letting
-  /// JobResult::collectAll's k-way merge compare u64s. Empty otherwise.
+  /// Parallel to `records`: linearize(key, JobSpec::keySpace), letting
+  /// JobResult::collectAll's k-way merge compare u64s.
   std::vector<std::uint64_t> linearKeys;
   double availableAt = 0.0;         ///< commit time (seconds from start)
   std::uint64_t annotationTally = 0;  ///< sum of fetched segment headers

@@ -26,9 +26,9 @@ void validateJobSpec(const JobSpec& spec) {
   if (!std::isfinite(spec.weight) || spec.weight <= 0.0) {
     throw std::invalid_argument("Engine: weight must be finite and > 0");
   }
-  if (spec.keySpace.rank() > 0 && !spec.keySpace.isValidShape()) {
+  if (spec.keySpace.rank() == 0 || !spec.keySpace.isValidShape()) {
     throw std::invalid_argument(
-        "Engine: keySpace must be a valid shape (all extents > 0) or empty");
+        "Engine: keySpace must be a valid non-empty shape (all extents > 0)");
   }
   if (spec.mode == ExecutionMode::kSidr &&
       spec.reduceDeps.size() != spec.numReducers) {
@@ -90,16 +90,9 @@ void validateJobSpec(const JobSpec& spec) {
           "Engine: mergeWindowBytes must be > 0 when a memory budget is set");
     }
   }
-  if (spec.compressSpill) {
-    if (spec.spillDirectory.empty()) {
-      throw std::invalid_argument(
-          "Engine: compressSpill requires a spillDirectory");
-    }
-    if (spec.keySpace.rank() == 0) {
-      throw std::invalid_argument(
-          "Engine: compressSpill requires a keySpace (the codec delta-encodes "
-          "linear keys)");
-    }
+  if (spec.compressSpill && spec.spillDirectory.empty()) {
+    throw std::invalid_argument(
+        "Engine: compressSpill requires a spillDirectory");
   }
   for (const FaultSpec& f : spec.faultPlan.faults) {
     if (f.attempt == 0) {
@@ -246,7 +239,7 @@ Segment JobContext::loadSpilledSegment(std::uint32_t m, std::uint32_t kb,
   std::vector<std::byte> bytes(file.size());
   file.readAt(0, bytes);
   bytesFetched += bytes.size();
-  return Segment::deserialize(bytes);
+  return Segment::deserialize(bytes, spec.keySpace);
 }
 
 // Marks a map schedulable (SIDR: because a scheduled reduce depends on
@@ -731,11 +724,10 @@ void JobContext::runMap(std::uint32_t m) {
   std::unique_ptr<Combiner> combiner =
       spec.combinerFactory ? spec.combinerFactory() : nullptr;
   // Batched read → map → route → sort/combine lives in the shared map
-  // pipeline (map_pipeline.cpp); with spec.keySpace set it runs the
-  // linearized fast path, otherwise the per-record lexicographic one.
-  // The sink scopes every sort counter the pipeline touches to THIS
-  // attempt, so the counts fold into the owning job's totals below no
-  // matter which jobs share the worker thread.
+  // pipeline (map_pipeline.cpp), keyed in spec.keySpace. The sink
+  // scopes every sort counter the pipeline touches to THIS attempt, so
+  // the counts fold into the owning job's totals below no matter which
+  // jobs share the worker thread.
   SortStats taskSort;
   std::vector<Segment> produced;
   {
@@ -1327,24 +1319,20 @@ void JobContext::runReduce(std::uint32_t kb) {
     }
   }
 
-  // Linearize the output keys OUTSIDE the lock (reducers usually emit
-  // the group key, which lies inside keySpace; an out-of-space emission
-  // just forfeits the collectAll fast merge rather than failing).
+  // Linearize the output keys OUTSIDE the lock. Reducers emit inside
+  // keySpace (usually the group key itself); an emission outside it is
+  // a reducer bug, rejected like the map-side emit check.
   std::vector<std::uint64_t> outLinear;
-  if (spec.keySpace.rank() > 0) {
-    outLinear.reserve(outRecords.size());
-    for (const KeyValue& kv : outRecords) {
-      bool inSpace = kv.key.rank() == spec.keySpace.rank();
-      for (std::size_t d = 0; inSpace && d < spec.keySpace.rank(); ++d) {
-        inSpace = kv.key[d] >= 0 && kv.key[d] < spec.keySpace[d];
-      }
-      if (!inSpace) {
-        outLinear.clear();
-        break;
-      }
-      outLinear.push_back(
-          static_cast<std::uint64_t>(nd::linearize(kv.key, spec.keySpace)));
+  outLinear.reserve(outRecords.size());
+  for (const KeyValue& kv : outRecords) {
+    const std::optional<std::uint64_t> lin =
+        nd::linearizeWithin(kv.key, spec.keySpace);
+    if (!lin) {
+      throw std::logic_error("Engine: reduce task " + std::to_string(kb) +
+                             " emitted key " + kv.key.toString() +
+                             " outside keySpace " + spec.keySpace.toString());
     }
+    outLinear.push_back(*lin);
   }
 
   attemptSpan.setBytes(bytesFetched);

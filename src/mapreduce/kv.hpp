@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ndarray/coord.hpp"
@@ -137,5 +138,31 @@ struct PackedRecord {
   ValueKind kind = ValueKind::kScalar;
 };
 static_assert(std::is_trivially_copyable_v<PackedRecord>);
+
+/// Packs one record whose key is already linearized: scalar/partial
+/// payloads inline, a list payload moved to the end of `lists`.
+inline PackedRecord packRecord(std::uint64_t lin, Value&& value,
+                               std::uint64_t represents,
+                               std::vector<std::vector<double>>& lists) {
+  PackedRecord r;
+  r.lin = lin;
+  r.represents = represents;
+  r.kind = value.kind();
+  switch (r.kind) {
+    case ValueKind::kScalar:
+      r.payload.scalar = value.asScalar();
+      break;
+    case ValueKind::kPartial:
+      r.payload.partial = value.asPartial();
+      break;
+    case ValueKind::kList:
+      // u32 index cannot overflow in practice (each list costs >=24
+      // bytes of heap, so 2^32 of them exceed any node).
+      r.payload.listIndex = static_cast<std::uint32_t>(lists.size());
+      lists.push_back(std::move(value.mutableList()));
+      break;
+  }
+  return r;
+}
 
 }  // namespace sidr::mr

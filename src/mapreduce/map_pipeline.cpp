@@ -37,39 +37,21 @@ BufferingMapContext::BufferingMapContext(const Partitioner& partitioner,
                                          std::uint32_t numReducers,
                                          nd::Coord keySpace,
                                          SegmentPagePool* pool)
-    : partitioner_(partitioner), keySpace_(std::move(keySpace)), pool_(pool) {
-  if (linearized()) {
-    packed_.resize(numReducers);
-    lists_.resize(numReducers);
-    emitSorted_.assign(numReducers, true);
-    lastLin_.assign(numReducers, 0);
-  } else {
-    buffers_.resize(numReducers);
+    : partitioner_(partitioner),
+      keySpace_(std::move(keySpace)),
+      packed_(numReducers),
+      lists_(numReducers),
+      emitSorted_(numReducers, true),
+      lastLin_(numReducers, 0),
+      pool_(pool) {
+  if (keySpace_.rank() == 0 || !keySpace_.isValidShape()) {
+    throw std::invalid_argument(
+        "BufferingMapContext: requires a valid non-empty keySpace");
   }
 }
 
 BufferingMapContext::~BufferingMapContext() {
   if (pool_ != nullptr && charged_ != 0) pool_->release(charged_);
-}
-
-std::uint64_t BufferingMapContext::linearizeChecked(
-    const nd::Coord& key) const {
-  if (key.rank() != keySpace_.rank()) {
-    throw std::logic_error(
-        "BufferingMapContext: emitted key rank does not match keySpace");
-  }
-  // Bounds check and row-major accumulation fused into one pass — this
-  // runs once per emitted record.
-  std::uint64_t lin = 0;
-  for (std::size_t d = 0; d < keySpace_.rank(); ++d) {
-    if (key[d] < 0 || key[d] >= keySpace_[d]) {
-      throw std::logic_error(
-          "BufferingMapContext: emitted key outside declared keySpace");
-    }
-    lin = lin * static_cast<std::uint64_t>(keySpace_[d]) +
-          static_cast<std::uint64_t>(key[d]);
-  }
-  return lin;
 }
 
 void BufferingMapContext::emit(const nd::Coord& key, Value value,
@@ -78,7 +60,7 @@ void BufferingMapContext::emit(const nd::Coord& key, Value value,
     // Approximate footprint of this emission in its buffered form;
     // charged in whole pages once enough accumulates, so the pool's
     // atomic is touched once per ~kPageBytes, not once per record.
-    pending_ += linearized() ? sizeof(PackedRecord) : sizeof(KeyValue);
+    pending_ += sizeof(PackedRecord);
     if (value.kind() == ValueKind::kList) {
       pending_ += sizeof(std::vector<double>) +
                   value.asList().size() * sizeof(double);
@@ -88,17 +70,14 @@ void BufferingMapContext::emit(const nd::Coord& key, Value value,
       pending_ = 0;
     }
   }
-  if (!linearized()) {
-    const auto numReducers = static_cast<std::uint32_t>(buffers_.size());
-    std::uint32_t kb = partitioner_.partition(key, numReducers);
-    if (kb >= buffers_.size()) {
-      throw std::logic_error("Partitioner returned out-of-range keyblock");
-    }
-    buffers_[kb].push_back(KeyValue{key, std::move(value), represents});
-    return;
+  const std::optional<std::uint64_t> linOrNone =
+      nd::linearizeWithin(key, keySpace_);
+  if (!linOrNone) {
+    throw std::logic_error(
+        "BufferingMapContext: emitted key outside declared keySpace");
   }
+  const std::uint64_t lin = *linOrNone;
   const auto numReducers = static_cast<std::uint32_t>(packed_.size());
-  const std::uint64_t lin = linearizeChecked(key);
   std::uint32_t kb;
   if (lin >= runBegin_ && lin < runEnd_) {
     // Inside the cached same-keyblock run: no virtual dispatch at all.
@@ -121,25 +100,7 @@ void BufferingMapContext::emit(const nd::Coord& key, Value value,
     emitSorted_[kb] = false;
   }
   lastLin_[kb] = lin;
-  PackedRecord r;
-  r.lin = lin;
-  r.represents = represents;
-  r.kind = value.kind();
-  switch (r.kind) {
-    case ValueKind::kScalar:
-      r.payload.scalar = value.asScalar();
-      break;
-    case ValueKind::kPartial:
-      r.payload.partial = value.asPartial();
-      break;
-    case ValueKind::kList:
-      // Out-of-line payload; u32 index cannot overflow in practice (each
-      // list costs >=24 bytes of heap, so 2^32 of them exceed any node).
-      r.payload.listIndex = static_cast<std::uint32_t>(lists_[kb].size());
-      lists_[kb].push_back(std::move(value.mutableList()));
-      break;
-  }
-  buf.push_back(r);
+  buf.push_back(packRecord(lin, std::move(value), represents, lists_[kb]));
 }
 
 Segment BufferingMapContext::takeSegment(std::uint32_t mapTask,
@@ -148,18 +109,16 @@ Segment BufferingMapContext::takeSegment(std::uint32_t mapTask,
   // The reserve hint assumes one emit per input record; aggregating
   // mappers emit one per cell. Unused capacity would otherwise travel
   // with the segment into the shuffle and the segment cache.
-  if (linearized() && packed_[kb].capacity() > 2 * packed_[kb].size()) {
+  if (packed_[kb].capacity() > 2 * packed_[kb].size()) {
     packed_[kb].shrink_to_fit();
   }
-  Segment seg = linearized()
-                    ? Segment(mapTask, kb, std::move(packed_[kb]),
-                              std::move(lists_[kb]), keySpace_)
-                    : Segment(mapTask, kb, std::move(buffers_[kb]));
+  Segment seg(mapTask, kb, std::move(packed_[kb]), std::move(lists_[kb]),
+              keySpace_);
   // A keyblock whose emissions were tracked as already nondecreasing
   // needs no sort at all — skipping the call also skips the O(n)
   // sorted rescan, and guarantees sorted combiner output is never
   // re-examined after the combine merge.
-  if (!linearized() || !emitSorted_[kb]) seg.sortByKey();
+  if (!emitSorted_[kb]) seg.sortByKey();
   if (combiner != nullptr) seg.combineWith(*combiner);
   return seg;
 }

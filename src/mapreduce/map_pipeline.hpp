@@ -2,12 +2,11 @@
 // partitioning, and per-keyblock segment construction.
 //
 // This is the engine's map task body factored into a standalone unit so
-// benchmarks and parity tests can drive the exact production path (and
-// its lexicographic fallback) without standing up a whole engine. The
-// linearized-key fast path (DESIGN.md section 11) activates when the
-// job declares a keySpace; with it absent every stage falls back to the
-// original per-record, lexicographic behavior — observably identical
-// output either way.
+// benchmarks and parity tests can drive the exact production path
+// without standing up a whole engine. Keys travel linearized in the
+// job's keySpace from emit to segment (DESIGN.md section 11); the
+// per-record lexicographic pipeline is kept only as a frozen test
+// oracle (tests/support/frozen_lex_pipeline.hpp).
 #pragma once
 
 #include <cstdint>
@@ -21,15 +20,14 @@ namespace sidr::mr {
 
 /// Buffers a map task's emitted records per destination keyblock.
 ///
-/// With a non-empty `keySpace` the context linearizes each emitted key
-/// once and routes through Partitioner::partitionRun, caching the
-/// returned [linearKey, runEnd) same-keyblock run — a structure-aware
+/// The context linearizes each emitted key once in `keySpace` and
+/// routes through Partitioner::partitionRun, caching the returned
+/// [linearKey, runEnd) same-keyblock run — a structure-aware
 /// partitioner is then consulted once per granule row instead of once
 /// per record — and buffers PackedRecords, which takeSegment hands to
 /// the Segment still packed (full KeyValues materialize lazily at the
-/// first consumer that needs them). With an empty keySpace it routes
-/// every emit through the classic virtual partition() into KeyValue
-/// buffers and attaches no cache.
+/// first consumer that needs them). An emitted key outside `keySpace`
+/// throws std::logic_error.
 class BufferingMapContext final : public MapContext {
  public:
   /// `pool` (optional) is the job's SegmentPagePool: emitted bytes are
@@ -38,16 +36,14 @@ class BufferingMapContext final : public MapContext {
   /// running. The context's whole charge is released when it is
   /// destroyed (by then the engine has charged the published segments
   /// themselves).
+  /// Throws std::invalid_argument when keySpace is not a valid
+  /// non-empty shape.
   BufferingMapContext(const Partitioner& partitioner, std::uint32_t numReducers,
-                      nd::Coord keySpace = nd::Coord(),
-                      SegmentPagePool* pool = nullptr);
+                      nd::Coord keySpace, SegmentPagePool* pool = nullptr);
   ~BufferingMapContext() override;
 
   void emit(const nd::Coord& key, Value value,
             std::uint64_t represents = 1) override;
-
-  /// True when the linearized fast path is active.
-  bool linearized() const noexcept { return keySpace_.rank() > 0; }
 
   /// Capacity hint: expected records per keyblock buffer, applied lazily
   /// on a buffer's first insertion so untouched keyblocks allocate
@@ -56,10 +52,9 @@ class BufferingMapContext final : public MapContext {
     reserveHint_ = perKeyblock;
   }
 
-  /// Moves keyblock `kb`'s buffered records (plus their linear keys in
-  /// fast mode) into a Segment, sorts it, and applies the optional
-  /// combiner. In fast mode a keyblock whose emissions arrived in
-  /// nondecreasing linear-key order (tracked per emit, the common
+  /// Moves keyblock `kb`'s packed records into a Segment, sorts it, and
+  /// applies the optional combiner. A keyblock whose emissions arrived
+  /// in nondecreasing linear-key order (tracked per emit, the common
   /// row-major case) skips the sort call outright — not even the O(n)
   /// sorted scan runs, and already-sorted combiner output is never
   /// re-sorted. Each keyblock can be taken once.
@@ -67,18 +62,14 @@ class BufferingMapContext final : public MapContext {
                       const Combiner* combiner);
 
  private:
-  std::uint64_t linearizeChecked(const nd::Coord& key) const;
-
   const Partitioner& partitioner_;
   nd::Coord keySpace_;
-  /// Fallback mode: full KeyValue buffers, one per keyblock.
-  std::vector<std::vector<KeyValue>> buffers_;
-  /// Fast mode: packed buffers plus the out-of-line list payloads.
+  /// Packed buffers plus the out-of-line list payloads, per keyblock.
   std::vector<std::vector<PackedRecord>> packed_;
   std::vector<std::vector<std::vector<double>>> lists_;
-  /// Fast mode: per-keyblock "emissions arrived in nondecreasing linear
-  /// order so far" flag plus the last emitted linear key, maintained in
-  /// emit — lets takeSegment skip the sort without rescanning.
+  /// Per-keyblock "emissions arrived in nondecreasing linear order so
+  /// far" flag plus the last emitted linear key, maintained in emit —
+  /// lets takeSegment skip the sort without rescanning.
   std::vector<bool> emitSorted_;
   std::vector<std::uint64_t> lastLin_;
   std::size_t reserveHint_ = 0;
@@ -97,7 +88,7 @@ class BufferingMapContext final : public MapContext {
 /// Executes one map task: reads every region of `split` in batches,
 /// feeds the mapper, and returns one sorted (and, when `combiner` is
 /// non-null, combined) segment per keyblock — exactly the segments the
-/// engine publishes or spills. `keySpace` selects the fast path as in
+/// engine publishes or spills. Keys are linearized in `keySpace` as in
 /// BufferingMapContext.
 std::vector<Segment> runMapPipeline(const InputSplit& split,
                                     std::uint32_t mapTask,

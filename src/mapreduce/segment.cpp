@@ -136,24 +136,18 @@ void discardSegmentAttemptFile(const std::string& dir, std::uint32_t mapTask,
 }
 
 Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
-                 std::vector<KeyValue> records)
-    : records_(std::move(records)) {
-  header_.mapTask = mapTask;
-  header_.keyblock = keyblock;
-  header_.numRecords = records_.size();
-  header_.represents = 0;
-  for (const KeyValue& kv : records_) header_.represents += kv.represents;
-}
-
-Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
-                 std::vector<KeyValue> records,
-                 std::vector<std::uint64_t> linearKeys)
-    : Segment(mapTask, keyblock, std::move(records)) {
-  if (linearKeys.size() != records_.size()) {
-    throw std::invalid_argument(
-        "Segment: linearKeys size does not match records");
+                 std::vector<KeyValue> records, nd::Coord keySpace)
+    : Segment(mapTask, keyblock, {}, {}, std::move(keySpace)) {
+  packed_.reserve(records.size());
+  for (KeyValue& kv : records) {
+    const std::optional<std::uint64_t> lin =
+        nd::linearizeWithin(kv.key, keySpace_);
+    if (!lin) throw std::out_of_range("Segment: key outside key space");
+    packed_.push_back(
+        packRecord(*lin, std::move(kv.value), kv.represents, lists_));
+    header_.represents += kv.represents;
   }
-  linearKeys_ = std::move(linearKeys);
+  header_.numRecords = packed_.size();
 }
 
 Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
@@ -165,7 +159,7 @@ Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
       keySpace_(std::move(keySpace)) {
   if (keySpace_.rank() == 0 || !keySpace_.isValidShape()) {
     throw std::invalid_argument(
-        "Segment: packed form requires a valid non-empty keySpace");
+        "Segment: requires a valid non-empty keySpace");
   }
   header_.mapTask = mapTask;
   header_.keyblock = keyblock;
@@ -173,6 +167,13 @@ Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
   header_.represents = 0;
   for (const PackedRecord& r : packed_) header_.represents += r.represents;
 }
+
+Segment::Segment(const SegmentHeader& header, std::vector<KeyValue> records,
+                 std::vector<std::uint64_t> linearKeys, nd::Coord keySpace)
+    : header_(header),
+      records_(std::move(records)),
+      linearKeys_(std::move(linearKeys)),
+      keySpace_(std::move(keySpace)) {}
 
 void Segment::materializeNow() const {
   // Builds the KeyValue view in final order with exact capacity. Dense
@@ -219,25 +220,6 @@ void Segment::materializeNow() const {
   packedMode_ = false;
 }
 
-void Segment::computeLinearKeys(const nd::Coord& keySpace) {
-  if (packedMode_) return;  // packed records ARE linear keys already
-  std::vector<std::uint64_t> lin;
-  lin.reserve(records_.size());
-  for (const KeyValue& kv : records_) {
-    if (kv.key.rank() != keySpace.rank()) {
-      throw std::out_of_range("Segment::computeLinearKeys: key rank mismatch");
-    }
-    for (std::size_t d = 0; d < keySpace.rank(); ++d) {
-      if (kv.key[d] < 0 || kv.key[d] >= keySpace[d]) {
-        throw std::out_of_range(
-            "Segment::computeLinearKeys: key outside space");
-      }
-    }
-    lin.push_back(static_cast<std::uint64_t>(nd::linearize(kv.key, keySpace)));
-  }
-  linearKeys_ = std::move(lin);
-}
-
 void Segment::sortByKey() {
   obs::SpanScope span(obs::Phase::kSortPacked, obs::TaskSide::kMap,
                       header_.mapTask, 0, header_.keyblock);
@@ -246,63 +228,12 @@ void Segment::sortByKey() {
     sortPacked();
     return;
   }
-  if (hasLinearKeys() && !records_.empty()) {
-    sortByLinearKey();
-    return;
+  if (!std::is_sorted(linearKeys_.begin(), linearKeys_.end())) {
+    throw std::logic_error(
+        "Segment::sortByKey: only the packed form sorts; this segment was "
+        "materialized unsorted");
   }
-  // Already-sorted detection matters on both paths: mappers that walk a
-  // region emit in row-major order, so the common case is a no-op scan.
-  auto lexLess = [](const KeyValue& a, const KeyValue& b) {
-    return a.key < b.key;
-  };
-  if (std::is_sorted(records_.begin(), records_.end(), lexLess)) {
-    ++activeSortStats().sortedSkips;
-    return;
-  }
-  // stable_sort, not sort: duplicate keys must keep emission order so the
-  // fallback and linearized paths build byte-identical segments.
-  ++activeSortStats().comparisonSorts;
-  std::stable_sort(records_.begin(), records_.end(), lexLess);
-}
-
-void Segment::sortByLinearKey() {
-  if (std::is_sorted(linearKeys_.begin(), linearKeys_.end())) {
-    ++activeSortStats().sortedSkips;
-    return;
-  }
-  ++activeSortStats().comparisonSorts;
-  // Sort compact (u64 key, u32 index) pairs and permute the ~130-byte
-  // KeyValues once, instead of swapping them under Coord compares. The
-  // index tie-break makes the sort stable. Segments beyond u32 indexing
-  // would need a wider pair; no in-memory map output gets near that.
-  struct KeyIdx {
-    std::uint64_t key;
-    std::uint32_t idx;
-  };
-  if (records_.size() > std::numeric_limits<std::uint32_t>::max()) {
-    linearKeys_.clear();  // cache dropped; fall back to a stable lex sort
-    std::stable_sort(
-        records_.begin(), records_.end(),
-        [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
-    return;
-  }
-  std::vector<KeyIdx> order(records_.size());
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    order[i] = {linearKeys_[i], static_cast<std::uint32_t>(i)};
-  }
-  std::sort(order.begin(), order.end(), [](const KeyIdx& a, const KeyIdx& b) {
-    return a.key < b.key || (a.key == b.key && a.idx < b.idx);
-  });
-  std::vector<KeyValue> sorted;
-  sorted.reserve(records_.size());
-  std::vector<std::uint64_t> sortedLin;
-  sortedLin.reserve(records_.size());
-  for (const KeyIdx& ki : order) {
-    sorted.push_back(std::move(records_[ki.idx]));
-    sortedLin.push_back(ki.key);
-  }
-  records_ = std::move(sorted);
-  linearKeys_ = std::move(sortedLin);
+  ++activeSortStats().sortedSkips;
 }
 
 void Segment::sortPacked() {
@@ -323,8 +254,8 @@ void Segment::sortPacked() {
   }
   // Small segment: the comparison sort on (lin, idx) pairs wins below
   // the radix threshold. Buffer order is emission order, so the index
-  // tie-break keeps the sort stable — the same record order
-  // std::stable_sort produces in the lexicographic fallback.
+  // tie-break keeps the sort stable — the order a stable sort by key
+  // produces.
   ++activeSortStats().comparisonSorts;
   struct LinIdx {
     std::uint64_t lin;
@@ -346,23 +277,20 @@ void Segment::sortPacked() {
 void Segment::combineWith(const Combiner& combiner) {
   if (packedMode_) materializeNow();  // combiners consume full Values
   if (records_.empty()) return;
-  const bool lin = hasLinearKeys();
   std::vector<KeyValue> combined;
   std::vector<std::uint64_t> combinedLin;
   combined.push_back(std::move(records_.front()));
-  if (lin) combinedLin.push_back(linearKeys_.front());
+  combinedLin.push_back(linearKeys_.front());
   for (std::size_t i = 1; i < records_.size(); ++i) {
     KeyValue& last = combined.back();
-    // Equal-run detection on the cached u64 when present: linearization
-    // is injective over the key space, so u64 equality == Coord equality.
-    const bool sameKey =
-        lin ? linearKeys_[i] == combinedLin.back() : records_[i].key == last.key;
-    if (sameKey) {
+    // Equal-run detection on the u64: linearization is injective over
+    // the key space, so u64 equality == Coord equality.
+    if (linearKeys_[i] == combinedLin.back()) {
       last.value = combiner.combine(last.value, records_[i].value);
       last.represents += records_[i].represents;
     } else {
       combined.push_back(std::move(records_[i]));
-      if (lin) combinedLin.push_back(linearKeys_[i]);
+      combinedLin.push_back(linearKeys_[i]);
     }
   }
   records_ = std::move(combined);
@@ -380,9 +308,7 @@ bool Segment::isSorted() const {
           return a.lin < b.lin;
         });
   }
-  return std::is_sorted(
-      records_.begin(), records_.end(),
-      [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
+  return std::is_sorted(linearKeys_.begin(), linearKeys_.end());
 }
 
 namespace {
@@ -579,21 +505,6 @@ inline double loadF64(const std::byte* p) {
   return v;
 }
 
-/// Range-checked linearization for the compressed encode of segments
-/// without a linear-key cache (deserialize output, hand-built tests).
-std::uint64_t checkedLinearize(const nd::Coord& key,
-                               const nd::Coord& keySpace) {
-  if (key.rank() != keySpace.rank()) {
-    throw std::out_of_range("Segment::serializeCompressed: key rank mismatch");
-  }
-  for (std::size_t d = 0; d < keySpace.rank(); ++d) {
-    if (key[d] < 0 || key[d] >= keySpace[d]) {
-      throw std::out_of_range("Segment::serializeCompressed: key outside space");
-    }
-  }
-  return static_cast<std::uint64_t>(nd::linearize(key, keySpace));
-}
-
 }  // namespace
 
 std::size_t Segment::serializedSize() const {
@@ -742,13 +653,9 @@ std::uint64_t Segment::residentBytes() const noexcept {
 }
 
 std::size_t Segment::serializedCompressedSize(const nd::Coord& keySpace) const {
-  if (keySpace.rank() == 0 || !keySpace.isValidShape()) {
+  if (keySpace.rank() == 0 || !(keySpace == keySpace_)) {
     throw std::invalid_argument(
-        "Segment::serializeCompressed: needs a valid non-empty key space");
-  }
-  if (packedMode_ && !(keySpace == keySpace_)) {
-    throw std::invalid_argument(
-        "Segment::serializeCompressed: key space differs from the packed "
+        "Segment::serializeCompressed: key space differs from the "
         "segment's");
   }
   std::size_t size = kHeaderBytes + varintLen(keySpace.rank());
@@ -785,11 +692,9 @@ std::size_t Segment::serializedCompressedSize(const nd::Coord& keySpace) const {
     }
     return size;
   }
-  const bool cached = linearKeys_.size() == records_.size();
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const KeyValue& kv = records_[i];
-    recordFixed(cached ? linearKeys_[i] : checkedLinearize(kv.key, keySpace),
-                kv.represents);
+    recordFixed(linearKeys_[i], kv.represents);
     switch (kv.value.kind()) {
       case ValueKind::kScalar:
         size += 8;
@@ -855,11 +760,9 @@ void Segment::serializeCompressedInto(std::vector<std::byte>& out,
     }
     return;
   }
-  const bool cached = linearKeys_.size() == records_.size();
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const KeyValue& kv = records_[i];
-    w.varint(delta(cached ? linearKeys_[i]
-                          : checkedLinearize(kv.key, keySpace)));
+    w.varint(delta(linearKeys_[i]));
     w.varint(kv.represents);
     w.u8(static_cast<std::uint8_t>(kv.value.kind()));
     switch (kv.value.kind()) {
@@ -896,19 +799,20 @@ Segment Segment::fromStream(SegmentStream& stream) {
   std::vector<KeyValue> records;
   records.reserve(h.numRecords);  // bounded by the stream's count check
   std::vector<std::uint64_t> lin;
-  const bool hasLin = stream.hasLin();
-  if (hasLin) lin.reserve(h.numRecords);
+  lin.reserve(h.numRecords);
   while (!stream.exhausted()) {
-    if (hasLin) lin.push_back(stream.currentLin());
+    lin.push_back(stream.currentLin());
     records.push_back(stream.take());
   }
-  if (hasLin) {
-    return Segment(h.mapTask, h.keyblock, std::move(records), std::move(lin));
-  }
-  return Segment(h.mapTask, h.keyblock, std::move(records));
+  return Segment(h, std::move(records), std::move(lin), stream.keySpace());
 }
 
-Segment Segment::deserialize(std::span<const std::byte> bytes) {
+Segment Segment::deserialize(std::span<const std::byte> bytes,
+                             const nd::Coord& keySpace) {
+  if (keySpace.rank() == 0 || !keySpace.isValidShape()) {
+    throw std::invalid_argument(
+        "Segment::deserialize: requires a valid non-empty keySpace");
+  }
   Reader cur(bytes);
   cur.require(kHeaderBytes);
   SegmentHeader h;
@@ -925,9 +829,13 @@ Segment Segment::deserialize(std::span<const std::byte> bytes) {
   // Records are constructed in place (no build-then-move), and bounds
   // checks are hoisted: one covering require() per record's fixed part
   // and one per payload, instead of one per word. reserve + emplace
-  // avoids zero-initializing the whole array up front.
+  // avoids zero-initializing the whole array up front. Each key is
+  // range-checked and linearized as it is decoded.
   std::vector<KeyValue> records;
+  std::vector<std::uint64_t> lin;
   records.reserve(h.numRecords);
+  lin.reserve(h.numRecords);
+  std::uint64_t represents = 0;
   for (std::uint64_t i = 0; i < h.numRecords; ++i) {
     KeyValue& kv = records.emplace_back();
     std::uint64_t rank = cur.u64();
@@ -937,7 +845,14 @@ Segment Segment::deserialize(std::span<const std::byte> bytes) {
     cur.require(8 * rank + 16);  // coords + represents + value kind
     kv.key = nd::Coord::zeros(rank);
     cur.wordsUnchecked(kv.key.begin(), rank);
+    const std::optional<std::uint64_t> keyLin =
+        nd::linearizeWithin(kv.key, keySpace);
+    if (!keyLin) {
+      throw std::out_of_range("Segment::deserialize: key outside key space");
+    }
+    lin.push_back(*keyLin);
     kv.represents = cur.u64Unchecked();
+    represents += kv.represents;
     auto kind = static_cast<ValueKind>(cur.u64Unchecked());
     switch (kind) {
       case ValueKind::kScalar:
@@ -971,11 +886,10 @@ Segment Segment::deserialize(std::span<const std::byte> bytes) {
   if (cur.remaining() != 0) {
     throw std::runtime_error("Segment::deserialize: trailing bytes");
   }
-  Segment s(h.mapTask, h.keyblock, std::move(records));
-  if (s.header_.represents != h.represents) {
+  if (represents != h.represents) {
     throw std::runtime_error("Segment::deserialize: annotation mismatch");
   }
-  return s;
+  return Segment(h, std::move(records), std::move(lin), keySpace);
 }
 
 SegmentHeader Segment::peekHeader(std::span<const std::byte> bytes) {
@@ -1014,6 +928,10 @@ void SegmentStream::init() {
   if (windowBytes_ == 0) {
     throw std::invalid_argument("SegmentStream: window must be non-zero");
   }
+  if (keySpace_.rank() == 0 || !keySpace_.isValidShape()) {
+    throw std::invalid_argument(
+        "SegmentStream: requires a valid non-empty keySpace");
+  }
   fileSize_ = storage_->size();
   if (fileSize_ < Segment::kHeaderBytes) {
     throw std::out_of_range("SegmentStream: truncated");
@@ -1038,9 +956,6 @@ void SegmentStream::init() {
       }
       refill();
     }
-    hasLin_ = true;
-  } else {
-    hasLin_ = keySpace_.rank() > 0;
   }
   if (header_.numRecords == 0) {
     finishChecks();
@@ -1074,10 +989,9 @@ bool SegmentStream::tryDecodeKeySpace() {
     total *= ext;
     space[d] = static_cast<nd::Index>(ext);
   }
-  if (keySpace_.rank() != 0 && !(space == keySpace_)) {
+  if (!(space == keySpace_)) {
     throw std::runtime_error("SegmentStream: key space mismatch");
   }
-  fileKeySpace_ = std::move(space);
   spaceSize_ = total;
   bufPos_ = static_cast<std::size_t>(p - buf_.data());
   return true;
@@ -1130,6 +1044,8 @@ bool SegmentStream::tryDecodeUncompressed() {
     key[d] = static_cast<nd::Index>(loadU64(p));
     p += 8;
   }
+  const std::optional<std::uint64_t> lin = nd::linearizeWithin(key, keySpace_);
+  if (!lin) throw std::out_of_range("SegmentStream: key outside key space");
   const std::uint64_t represents = loadU64(p);
   p += 8;
   const std::uint64_t kindWord = loadU64(p);
@@ -1183,9 +1099,7 @@ bool SegmentStream::tryDecodeUncompressed() {
   cur_.key = std::move(key);
   cur_.represents = represents;
   cur_.value = std::move(value);
-  if (hasLin_) {
-    curLin_ = checkedLinearize(cur_.key, keySpace_);
-  }
+  curLin_ = *lin;
   return true;
 }
 
@@ -1255,12 +1169,12 @@ bool SegmentStream::tryDecodeCompressed() {
   }
   // Delinearize with the dense-run bump (sorted runs over row-major
   // emission make lin == prev + 1 the common case).
-  const std::size_t lastD = fileKeySpace_.rank() - 1;
+  const std::size_t lastD = keySpace_.rank() - 1;
   if (havePrev_ && lin == prevLin_ + 1 &&
-      prevKey_[lastD] + 1 < fileKeySpace_[lastD]) {
+      prevKey_[lastD] + 1 < keySpace_[lastD]) {
     ++prevKey_[lastD];
   } else if (!havePrev_ || lin != prevLin_) {
-    prevKey_ = nd::delinearize(static_cast<nd::Index>(lin), fileKeySpace_);
+    prevKey_ = nd::delinearize(static_cast<nd::Index>(lin), keySpace_);
   }
   bufPos_ = static_cast<std::size_t>(p - base);
   prevLin_ = lin;
@@ -1313,21 +1227,6 @@ SegmentMerger::SegmentMerger(std::span<const Segment* const> segments) {
 SegmentMerger::SegmentMerger(std::span<const Input> inputs) { init(inputs); }
 
 void SegmentMerger::init(std::span<const Input> inputs) {
-  // The u64 heap is only valid when EVERY participating input serves
-  // linear keys: a mixed heap would compare a u64 against a Coord.
-  for (const Input& in : inputs) {
-    if (in.segment != nullptr) {
-      if (!in.segment->empty() && !in.segment->hasLinearKeys()) {
-        allLinear_ = false;
-      }
-    } else if (in.stream != nullptr) {
-      if (!in.stream->exhausted() && !in.stream->hasLin()) {
-        allLinear_ = false;
-      }
-    } else if (in.run != nullptr) {
-      if (!in.run->empty() && in.runLin == nullptr) allLinear_ = false;
-    }
-  }
   // Cursor creation order == input order: the heap's evolution depends
   // only on key comparisons and this sequence, never on which KIND of
   // source carries the records — the bit-identical-output property the
@@ -1336,7 +1235,7 @@ void SegmentMerger::init(std::span<const Input> inputs) {
     Cursor c{};
     if (in.segment != nullptr && !in.segment->empty()) {
       c.segment = in.segment;
-      if (in.segment->packed() && allLinear_) {
+      if (in.segment->packed()) {
         // Iterate the packed form directly — merging never builds the
         // segment's KeyValue view.
         c.kind = Kind::kPacked;
@@ -1346,16 +1245,19 @@ void SegmentMerger::init(std::span<const Input> inputs) {
         c.kind = Kind::kMaterialized;
         c.recs = in.segment->records().data();
         c.count = in.segment->records().size();
-        c.lin = allLinear_ ? in.segment->linearKeys().data() : nullptr;
+        c.lin = in.segment->linearKeys().data();
       }
     } else if (in.stream != nullptr && !in.stream->exhausted()) {
       c.kind = Kind::kStream;
       c.stream = in.stream;
     } else if (in.run != nullptr && !in.run->empty()) {
+      if (in.runLin == nullptr) {
+        throw std::logic_error("SegmentMerger: run input lacks linear keys");
+      }
       c.kind = Kind::kRun;
       c.recs = in.run->data();
       c.count = in.run->size();
-      c.lin = allLinear_ ? in.runLin : nullptr;
+      c.lin = in.runLin;
     } else {
       continue;  // empty or absent input
     }
@@ -1378,30 +1280,22 @@ std::uint64_t SegmentMerger::linAt(const Cursor& c) const {
   return c.lin[c.pos];
 }
 
-const nd::Coord& SegmentMerger::keyAt(const Cursor& c) const {
-  // Never sees kPacked: packed cursors exist only on the allLinear_
-  // path, where every compare goes through linAt.
-  if (c.kind == Kind::kStream) return c.stream->current().key;
+nd::Coord SegmentMerger::topKey() const {
+  const Cursor& c = heap_.front();
+  switch (c.kind) {
+    case Kind::kPacked:
+      return nd::delinearize(static_cast<nd::Index>(c.packed[c.pos].lin),
+                             c.segment->keySpaceShape());
+    case Kind::kStream:
+      return c.stream->current().key;
+    case Kind::kRun:
+    case Kind::kMaterialized:
+      break;
+  }
   return c.recs[c.pos].key;
 }
 
-nd::Coord SegmentMerger::topKey() const {
-  const Cursor& c = heap_.front();
-  if (c.kind == Kind::kPacked) {
-    return nd::delinearize(static_cast<nd::Index>(c.packed[c.pos].lin),
-                           c.segment->keySpaceShape());
-  }
-  return keyAt(c);
-}
-
 std::uint64_t SegmentMerger::topLin() const { return linAt(heap_.front()); }
-
-bool SegmentMerger::topKeyEquals(const nd::Coord& key,
-                                 std::uint64_t keyLin) const {
-  const Cursor& c = heap_.front();
-  if (allLinear_) return linAt(c) == keyLin;
-  return keyAt(c) == key;
-}
 
 const KeyValue& SegmentMerger::topRecord() const {
   return heap_.front().recs[heap_.front().pos];
@@ -1459,8 +1353,7 @@ std::uint64_t SegmentMerger::takeTopValue() {
 }
 
 bool SegmentMerger::cursorLess(const Cursor& a, const Cursor& b) const {
-  if (allLinear_) return linAt(a) < linAt(b);
-  return keyAt(a) < keyAt(b);
+  return linAt(a) < linAt(b);
 }
 
 void SegmentMerger::siftDown(std::size_t i) {

@@ -155,7 +155,9 @@ void discardSegmentAttemptFile(const std::string& dir, std::uint32_t mapTask,
 /// miscounted exactly there).
 struct SortStats {
   std::uint64_t sortedSkips = 0;      ///< sorts skipped by the O(n) sorted check
-  std::uint64_t comparisonSorts = 0;  ///< comparison-sorted segments (fallbacks)
+  /// Packed segments sorted by (lin, index) compares: those below
+  /// kRadixSortMinRecords, and any too large for u32 radix indices.
+  std::uint64_t comparisonSorts = 0;
   std::uint64_t radixSorts = 0;       ///< radix-sorted segments
   std::uint64_t radixPasses = 0;      ///< byte passes actually scattered
   std::uint64_t radixPassesSkipped = 0;  ///< passes skipped (constant key byte)
@@ -235,19 +237,15 @@ struct SegmentHeader {
 class Segment {
  public:
   Segment() = default;
-  Segment(std::uint32_t mapTask, std::uint32_t keyblock,
-          std::vector<KeyValue> records);
 
-  /// Constructs a segment that carries the linearized-key cache: one
-  /// row-major u64 per record (linearize(key, JobSpec::keySpace)),
-  /// computed by the map pipeline at emit time. The cache is an
-  /// in-memory acceleration only — it never reaches the wire format —
-  /// and because linearization is an order-preserving injection, u64
-  /// compares on it agree exactly with lexicographic Coord compares.
-  /// Throws std::invalid_argument when sizes differ.
+  /// Builds a segment from full KeyValues in the job's key space: keys
+  /// are linearized and the records packed exactly as the map pipeline
+  /// buffers them (see the packed constructor), so sorting, combining
+  /// and encoding run the one production path. Throws
+  /// std::invalid_argument when keySpace is not a valid non-empty shape
+  /// and std::out_of_range when a key lies outside it.
   Segment(std::uint32_t mapTask, std::uint32_t keyblock,
-          std::vector<KeyValue> records,
-          std::vector<std::uint64_t> linearKeys);
+          std::vector<KeyValue> records, nd::Coord keySpace);
 
   /// Constructs a segment in PACKED form (DESIGN.md section 11): the
   /// records stay as trivially-copyable PackedRecords (keys linearized
@@ -277,14 +275,6 @@ class Segment {
     return records_;
   }
 
-  /// Mutable record access drops the linear-key cache (the caller may
-  /// reorder or rewrite keys, which would desynchronize it).
-  std::vector<KeyValue>& mutableRecords() {
-    if (packedMode_) materializeNow();
-    linearKeys_.clear();
-    return records_;
-  }
-
   bool empty() const noexcept {
     return packedMode_ ? packed_.empty() : records_.empty();
   }
@@ -305,48 +295,35 @@ class Segment {
     return lists_[idx];
   }
 
-  /// The keySpace a packed segment's linear keys were computed in
-  /// (rank 0 for segments built from full KeyValues).
+  /// The key space the segment's linear keys live in (rank 0 only for
+  /// a default-constructed segment).
   const nd::Coord& keySpaceShape() const noexcept { return keySpace_; }
 
   /// Approximate heap footprint of the record data in its CURRENT
   /// representation — what a published in-memory segment costs against
   /// the page pool. Packed form counts the packed array plus list
   /// payloads; materialized form counts KeyValues, list payloads and
-  /// the linear-key cache.
+  /// the linear keys.
   std::uint64_t residentBytes() const noexcept;
 
-  /// True when every record has a cached linear key (trivially true in
-  /// packed form — the linear key IS the stored key).
-  bool hasLinearKeys() const noexcept {
-    return packedMode_ || linearKeys_.size() == records_.size();
-  }
-
-  /// Cached linear keys, parallel to records(); empty when not cached.
-  /// Materializes a packed segment (see records() for the threading
-  /// contract).
+  /// Linear keys, parallel to records(): linearize(key, keySpace) per
+  /// record. Materializes a packed segment (see records() for the
+  /// threading contract).
   std::span<const std::uint64_t> linearKeys() const {
     if (packedMode_) materializeNow();
     return {linearKeys_.data(), linearKeys_.size()};
   }
 
-  /// (Re)builds the linear-key cache from the records — used after
-  /// deserialize() so spilled segments merge on u64s too. Throws
-  /// std::out_of_range when a key falls outside `keySpace` (possible
-  /// with corrupt spill files: the codec validates structure, not
-  /// coordinate ranges).
-  void computeLinearKeys(const nd::Coord& keySpace);
-
-  /// Sorts records by key (row-major lexicographic order), ties broken
-  /// by emission order (stable, so the fallback and linearized paths
-  /// produce identical segments). Map tasks sort their output before
-  /// serving it to reducers, as Hadoop does. Packed segments radix-sort
-  /// (see radixSortPacked) above kRadixSortMinRecords and comparison-
-  /// sort (u64, u32 index) pairs below it; materialized segments with a
-  /// linear-key cache comparison-sort the same pairs; non-linear keys
-  /// fall back to a stable lexicographic sort. Already-sorted output
-  /// (the common case: mappers emit in row-major order) is detected in
-  /// O(n) on every path.
+  /// Sorts records by key (row-major order), ties broken by emission
+  /// order (stable). Map tasks sort their output before serving it to
+  /// reducers, as Hadoop does. Only the packed form sorts: it radix-
+  /// sorts (see radixSortPacked) at or above kRadixSortMinRecords and
+  /// comparison-sorts (u64, u32 index) pairs below it. Already-sorted
+  /// output (the common case: mappers emit in row-major order) is
+  /// detected in O(n). A materialized segment — decoder output, or a
+  /// packed one after materialization or combining — must already be
+  /// sorted: the call only confirms it, and throws std::logic_error
+  /// otherwise.
   void sortByKey();
 
   /// Applies a combiner: merges runs of equal-key records into one,
@@ -380,12 +357,16 @@ class Segment {
   /// evicting one never builds its KeyValue view.
   void serializeInto(std::vector<std::byte>& out) const;
 
-  /// Decodes serialize()'s output. Every length field (record count,
-  /// key rank, list length) is validated against the remaining byte
-  /// count BEFORE any allocation, so corrupt or truncated input throws
+  /// Decodes serialize()'s output, linearizing each key in `keySpace`
+  /// in the same pass. Every length field (record count, key rank, list
+  /// length) is validated against the remaining byte count BEFORE any
+  /// allocation, so corrupt or truncated input throws
   /// (std::out_of_range / std::runtime_error) instead of triggering a
-  /// huge reserve. Trailing bytes after the last record are rejected.
-  static Segment deserialize(std::span<const std::byte> bytes);
+  /// huge reserve. A key outside `keySpace` throws std::out_of_range;
+  /// trailing bytes after the last record are rejected. Throws
+  /// std::invalid_argument when keySpace is not a valid non-empty shape.
+  static Segment deserialize(std::span<const std::byte> bytes,
+                             const nd::Coord& keySpace);
 
   /// Reads ONLY the header fields from an encoded segment — the cheap
   /// "partially understand the data without reading and parsing it"
@@ -406,15 +387,13 @@ class Segment {
   /// Exact encoded size of serializeCompressedInto's output.
   std::size_t serializedCompressedSize(const nd::Coord& keySpace) const;
 
-  /// Compressed encoding into a caller-owned buffer. Encodes STRAIGHT
-  /// from the packed form when present — eviction of a packed segment
-  /// never materializes its KeyValue view — and from the materialized
-  /// records otherwise (using the linear-key cache, or linearizing
-  /// against `keySpace` when the cache is absent). Throws
-  /// std::invalid_argument when keySpace is empty or (packed form)
-  /// differs from the segment's own, std::out_of_range when a key falls
-  /// outside it, and std::logic_error when records are not sorted by
-  /// linear key (deltas must be non-negative).
+  /// Compressed encoding into a caller-owned buffer, straight from the
+  /// packed form when present — eviction of a packed segment never
+  /// materializes its KeyValue view — and from the materialized records
+  /// and their linear keys otherwise. Throws std::invalid_argument when
+  /// keySpace is not the segment's own, and std::logic_error when
+  /// records are not sorted by linear key (deltas must be
+  /// non-negative).
   void serializeCompressedInto(std::vector<std::byte>& out,
                                const nd::Coord& keySpace) const;
 
@@ -423,12 +402,16 @@ class Segment {
   /// Drains a SegmentStream (either framing) into a fully materialized
   /// segment — the non-windowed decode used where whole-segment access
   /// is still wanted. Validates exactly what deserialize() validates
-  /// (the stream itself checks truncation, structure, trailing bytes
-  /// and the annotation sum).
+  /// (the stream itself checks truncation, structure, trailing bytes,
+  /// key-space bounds and the annotation sum).
   static Segment fromStream(class SegmentStream& stream);
 
  private:
-  void sortByLinearKey();
+  /// Decoder output: materialized records whose linear keys were
+  /// computed (and range-checked) while decoding.
+  Segment(const SegmentHeader& header, std::vector<KeyValue> records,
+          std::vector<std::uint64_t> linearKeys, nd::Coord keySpace);
+
   void sortPacked();
   void materializeNow() const;
 
@@ -436,9 +419,7 @@ class Segment {
   // Lazy materialization: these are written once by materializeNow()
   // under const access (see records() for the threading contract).
   mutable std::vector<KeyValue> records_;
-  /// Parallel to records_: row-major linear key per record, or empty
-  /// when the producing job declared no keySpace (and after
-  /// deserialize(), until computeLinearKeys() rebuilds it).
+  /// Parallel to records_: row-major linear key per record.
   mutable std::vector<std::uint64_t> linearKeys_;
   /// Packed form (packedMode_ only); cleared by materializeNow().
   mutable std::vector<PackedRecord> packed_;
@@ -456,18 +437,18 @@ class Segment {
 /// wire format and the varint/delta compressed one (compressed = true).
 ///
 /// Validation matches Segment::deserialize: structural corruption
-/// (bad kind byte, over-long varint, rank/extent garbage, a linear key
-/// outside the key space) throws std::runtime_error /
-/// std::out_of_range; truncation mid-record throws std::out_of_range;
+/// (bad kind byte, over-long varint, rank/extent garbage) throws
+/// std::runtime_error, a key outside the key space std::out_of_range;
+/// truncation mid-record throws std::out_of_range;
 /// after the last record, trailing bytes and a represents-sum mismatch
 /// with the header annotation are rejected. Short reads from storage
 /// propagate as the storage layer's own exceptions.
 class SegmentStream {
  public:
-  /// Opens `path` read-only. `keySpace` lets the uncompressed framing
-  /// serve linear keys (currentLin); pass an empty Coord to skip that.
-  /// For the compressed framing the embedded key space is
-  /// authoritative; a non-empty `keySpace` must match it.
+  /// Opens `path` read-only. Every decoded key is linearized in
+  /// `keySpace` (currentLin); the compressed framing's embedded key
+  /// space must equal it. Throws std::invalid_argument when keySpace is
+  /// not a valid non-empty shape.
   SegmentStream(const std::string& path, std::size_t windowBytes,
                 bool compressed, const nd::Coord& keySpace);
 
@@ -481,6 +462,7 @@ class SegmentStream {
   SegmentStream& operator=(const SegmentStream&) = delete;
 
   const SegmentHeader& header() const noexcept { return header_; }
+  const nd::Coord& keySpace() const noexcept { return keySpace_; }
 
   /// True once every record has been consumed (end-of-stream checks
   /// have run by then). A zero-record segment starts exhausted.
@@ -489,9 +471,8 @@ class SegmentStream {
   /// The record at the cursor; valid until advance()/take().
   const KeyValue& current() const noexcept { return cur_; }
 
-  /// Row-major linear key of current(), when hasLin().
+  /// Row-major linear key of current() in the key space.
   std::uint64_t currentLin() const noexcept { return curLin_; }
-  bool hasLin() const noexcept { return hasLin_; }
 
   /// Decodes the next record (or runs end-of-stream validation).
   void advance();
@@ -521,11 +502,11 @@ class SegmentStream {
   std::unique_ptr<sci::Storage> storage_;
   std::size_t windowBytes_;
   bool compressed_;
-  /// Job key space for uncompressed lin computation (may be empty).
+  /// Job key space: every decoded key is linearized (uncompressed) or
+  /// delinearized (compressed) in it.
   nd::Coord keySpace_;
-  /// Compressed framing's embedded key space and its element count
-  /// (bounds every decoded linear key).
-  nd::Coord fileKeySpace_;
+  /// Compressed framing: element count of the key space (bounds every
+  /// decoded linear key).
   std::uint64_t spaceSize_ = 0;
 
   SegmentHeader header_;
@@ -536,7 +517,6 @@ class SegmentStream {
 
   KeyValue cur_;
   std::uint64_t curLin_ = 0;
-  bool hasLin_ = false;
   bool exhausted_ = true;
   std::uint64_t decoded_ = 0;  ///< records decoded so far
   std::uint64_t repSum_ = 0;   ///< running represents sum (tally check)
@@ -552,20 +532,20 @@ class SegmentStream {
 ///   fn(key, span<const Value*> values, totalRepresents).
 /// This is the sort/merge/group step that precedes the Reduce function.
 ///
-/// Inputs may be in-memory segments (iterated in packed form without
-/// materializing when possible), windowed SegmentStreams over spilled
-/// files, or plain sorted KeyValue runs (collectAll's reduce outputs).
-/// When every input serves linear keys, the heap orders cursors and
-/// detects group boundaries by comparing u64s instead of lexicographic
-/// Coords; since linearization is an order-preserving injection the pop
-/// order is identical either way. The heap's comparison sequence
-/// depends only on key order and input order, so a merge over the same
-/// records produces the same output no matter which source kinds carry
-/// them — the property the out-of-core parity suite pins down.
+/// Inputs may be in-memory segments (packed ones iterated without
+/// materializing), windowed SegmentStreams over spilled files, or plain
+/// sorted KeyValue runs with their linear keys (collectAll's reduce
+/// outputs). Every input serves linear keys, so the heap orders cursors
+/// and detects group boundaries by comparing u64s; linearization is an
+/// order-preserving injection, so that is key order. The heap's
+/// comparison sequence depends only on key order and input order, so a
+/// merge over the same records produces the same output no matter which
+/// source kinds carry them — the property the out-of-core parity suite
+/// pins down.
 class SegmentMerger {
  public:
   /// One merge input: exactly one of segment / stream / run set.
-  /// `runLin` optionally parallels `*run` with cached linear keys.
+  /// `runLin` parallels a non-empty `*run` with its linear keys.
   struct Input {
     const Segment* segment = nullptr;
     SegmentStream* stream = nullptr;
@@ -576,9 +556,6 @@ class SegmentMerger {
   explicit SegmentMerger(std::span<const Segment* const> segments);
   explicit SegmentMerger(std::span<const Input> inputs);
 
-  /// True when every input serves linear keys (u64 compare path).
-  bool allLinear() const noexcept { return allLinear_; }
-
   /// Grouped iteration; see class comment. Value pointers passed to
   /// `fn` are valid only during that call (packed/stream sources hold
   /// decoded values in a per-group buffer).
@@ -586,11 +563,11 @@ class SegmentMerger {
   void forEachGroup(Fn&& fn) {
     while (!heap_.empty()) {
       const nd::Coord key = topKey();
-      const std::uint64_t keyLin = allLinear_ ? topLin() : 0;
+      const std::uint64_t keyLin = topLin();
       groupValues_.clear();
       hold_.clear();
       std::uint64_t represents = 0;
-      while (!heap_.empty() && topKeyEquals(key, keyLin)) {
+      while (!heap_.empty() && topLin() == keyLin) {
         represents += takeTopValue();
       }
       fn(key, std::span<const Value* const>(groupValues_), represents);
@@ -598,14 +575,14 @@ class SegmentMerger {
   }
 
   /// Flat merged-record iteration: fn(const KeyValue&, lin) per record
-  /// in merge order (lin meaningful only when allLinear()). Only valid
+  /// in merge order. Only valid
   /// for run-backed inputs (collectAll); throws std::logic_error
   /// otherwise.
   template <typename Fn>
   void forEachRecord(Fn&& fn) {
     requireRunCursors();
     while (!heap_.empty()) {
-      fn(topRecord(), allLinear_ ? topLin() : 0);
+      fn(topRecord(), topLin());
       pop();
     }
   }
@@ -621,7 +598,7 @@ class SegmentMerger {
     SegmentStream* stream;      ///< kStream
     const KeyValue* recs;       ///< kRun / kMaterialized base pointer
     const PackedRecord* packed; ///< kPacked base pointer
-    /// Cached linear keys parallel to recs (null on the Coord path).
+    /// kRun / kMaterialized: linear keys parallel to recs.
     const std::uint64_t* lin;
     std::size_t pos;
     std::size_t count;
@@ -629,15 +606,11 @@ class SegmentMerger {
 
   void init(std::span<const Input> inputs);
 
-  /// Current linear key / key of a cursor. linAt is only meaningful on
-  /// the allLinear_ path; keyAt never sees a kPacked cursor (packed
-  /// inputs materialize when any input lacks linear keys).
+  /// Current linear key of a cursor.
   std::uint64_t linAt(const Cursor& c) const;
-  const nd::Coord& keyAt(const Cursor& c) const;
 
   nd::Coord topKey() const;
   std::uint64_t topLin() const;
-  bool topKeyEquals(const nd::Coord& key, std::uint64_t keyLin) const;
   const KeyValue& topRecord() const;
   /// Appends the top cursor's value to groupValues_ (holding a decoded
   /// copy in hold_ for packed/stream sources), returns its represents
@@ -655,7 +628,6 @@ class SegmentMerger {
   /// (packed list copies, stream-decoded records). A deque: growing it
   /// never moves elements already pointed to by groupValues_.
   std::deque<Value> hold_;
-  bool allLinear_ = true;
 };
 
 }  // namespace sidr::mr

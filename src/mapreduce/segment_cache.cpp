@@ -25,9 +25,8 @@ std::uint64_t matrixResidentBytes(
 /// Returns false on any failure (missing file, truncated bytes): the
 /// caller drops the entry and the claimant runs cold. Decoding mirrors
 /// JobContext::loadSpilledSegment — the streaming reader for the
-/// compressed framing (which restores linear keys itself), plain
-/// deserialize + computeLinearKeys otherwise — so a reloaded segment is
-/// indistinguishable from the donor's resident one.
+/// compressed framing, deserialize otherwise, both linearizing keys in
+/// the entry's key space as they decode.
 bool SegmentCache::loadEntryFiles(Entry& entry) {
   if (entry.paths.empty()) return false;
   std::vector<std::vector<std::shared_ptr<const Segment>>> loaded(
@@ -46,10 +45,7 @@ bool SegmentCache::loadEntryFiles(Entry& entry) {
           sci::FileStorage file(path, sci::FileStorage::Mode::kOpenReadOnly);
           std::vector<std::byte> bytes(file.size());
           file.readAt(0, bytes);
-          seg = Segment::deserialize(bytes);
-          if (entry.keySpace.rank() > 0 && !seg.hasLinearKeys()) {
-            seg.computeLinearKeys(entry.keySpace);
-          }
+          seg = Segment::deserialize(bytes, entry.keySpace);
         }
         loaded[m][kb] = std::make_shared<const Segment>(std::move(seg));
       }

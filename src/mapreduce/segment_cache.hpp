@@ -53,7 +53,7 @@ struct SegmentCacheDonation {
   std::uint32_t numMaps = 0;
   std::uint32_t numReduces = 0;
   /// File framing of `paths` entries (donor's compressSpill), and the
-  /// key space needed to decode/relinearize them on reload.
+  /// key space their keys are decoded into on reload.
   bool compressed = false;
   nd::Coord keySpace;
   std::vector<std::vector<std::shared_ptr<const Segment>>> segments;

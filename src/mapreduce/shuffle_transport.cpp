@@ -357,12 +357,6 @@ class InProcessTransport final : public ShuffleTransport {
           fs.owned = std::make_unique<Segment>(
               source_.loadCommittedSegment(m, req.keyblock,
                                            stats.bytesFetched));
-          // Linear keys never travel on the uncompressed wire; rebuild
-          // the cache so spilled segments merge on u64s like in-memory
-          // ones (the compressed decoder already restored them).
-          if (source_.keySpace().rank() > 0 && !fs.owned->hasLinearKeys()) {
-            fs.owned->computeLinearKeys(source_.keySpace());
-          }
         }
         out.push_back(std::move(fs));
       }
@@ -764,11 +758,8 @@ class SocketTransport final : public ShuffleTransport {
                              /*compressed=*/true, source_.keySpace());
         fs.owned = std::make_unique<Segment>(Segment::fromStream(stream));
       } else {
-        fs.owned = std::make_unique<Segment>(Segment::deserialize(payload));
-      }
-      if (fs.owned != nullptr && source_.keySpace().rank() > 0 &&
-          !fs.owned->hasLinearKeys()) {
-        fs.owned->computeLinearKeys(source_.keySpace());
+        fs.owned = std::make_unique<Segment>(
+            Segment::deserialize(payload, source_.keySpace()));
       }
     } catch (const TransportError&) {
       throw;

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -127,6 +128,22 @@ class Coord {
 /// Hadoop's modulo partitioner over coordinate keys.
 /// Precondition: 0 <= c[d] < shape[d] for all d, ranks equal.
 Index linearize(const Coord& c, const Coord& shape);
+
+/// Bounds-checked linearize(): the row-major index of `c` within
+/// `shape`, or nullopt when the ranks differ or a coordinate lies
+/// outside [0, shape[d]). Inline because the map side runs it once per
+/// emitted record; callers pick the exception type for a miss.
+inline std::optional<std::uint64_t> linearizeWithin(
+    const Coord& c, const Coord& shape) noexcept {
+  if (c.rank() != shape.rank()) return std::nullopt;
+  std::uint64_t linear = 0;
+  for (std::size_t d = 0; d < c.rank(); ++d) {
+    if (c[d] < 0 || c[d] >= shape[d]) return std::nullopt;
+    linear = linear * static_cast<std::uint64_t>(shape[d]) +
+             static_cast<std::uint64_t>(c[d]);
+  }
+  return linear;
+}
 
 /// Inverse of linearize().
 Coord delinearize(Index linear, const Coord& shape);

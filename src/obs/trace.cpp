@@ -5,10 +5,6 @@
 
 namespace sidr::obs {
 
-namespace detail {
-thread_local TraceRecorder* tCurrentRecorder = nullptr;
-}  // namespace detail
-
 const char* phaseName(Phase phase) noexcept {
   switch (phase) {
     case Phase::kTaskAttempt:

@@ -164,7 +164,10 @@ class TraceRecorder {
 
 namespace detail {
 /// The thread's installed recorder (null = recording disabled here).
-extern thread_local TraceRecorder* tCurrentRecorder;
+/// Defined inline, not `extern`: through the extern declaration, GCC's
+/// UBSan instrumentation flags reads of this variable as null-pointer
+/// loads.
+inline thread_local TraceRecorder* tCurrentRecorder = nullptr;
 }  // namespace detail
 
 inline TraceRecorder* currentRecorder() noexcept {

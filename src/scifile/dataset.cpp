@@ -112,6 +112,11 @@ Dataset Dataset::open(std::shared_ptr<Storage> storage) {
     metaLen |= static_cast<std::uint64_t>(head[8 + static_cast<std::size_t>(b)])
                << (b * 8);
   }
+  // The header's length word is untrusted: bound it by the bytes
+  // actually present before allocating.
+  if (metaLen > storage->size() - head.size()) {
+    throw std::out_of_range("Dataset::open: metadata length exceeds file");
+  }
   std::vector<std::byte> metaBytes(metaLen);
   storage->readAt(16, metaBytes);
   Dataset ds(std::move(storage), Metadata::deserialize(metaBytes));

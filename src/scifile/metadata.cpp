@@ -1,6 +1,7 @@
 #include "scifile/metadata.hpp"
 
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -123,6 +124,9 @@ std::string Metadata::toText() const {
 
 namespace {
 
+constexpr auto kMaxIndex =
+    static_cast<std::uint64_t>(std::numeric_limits<nd::Index>::max());
+
 void putU64(std::vector<std::byte>& out, std::uint64_t x) {
   for (int b = 0; b < 8; ++b) {
     out.push_back(static_cast<std::byte>((x >> (b * 8)) & 0xff));
@@ -153,7 +157,7 @@ class ByteCursor {
 
   std::string getString() {
     std::uint64_t n = getU64();
-    if (pos_ + n > bytes_.size()) {
+    if (n > bytes_.size() - pos_) {
       throw std::out_of_range("Metadata::deserialize: truncated string");
     }
     std::string s(n, '\0');
@@ -204,13 +208,28 @@ Metadata Metadata::deserialize(std::span<const std::byte> bytes) {
   for (std::uint64_t i = 0; i < nVars; ++i) {
     Variable v;
     v.name = cur.getString();
-    v.type = static_cast<DataType>(cur.getU64());
+    // The checks addVariable makes, plus one it need not: a decoded
+    // shape's byte size must fit Index, or Coord::volume() overflows.
+    const std::uint64_t type = cur.getU64();
+    if (type > static_cast<std::uint64_t>(DataType::kFloat64)) {
+      throw std::runtime_error("Metadata::deserialize: bad data type");
+    }
+    v.type = static_cast<DataType>(type);
     std::uint64_t nvd = cur.getU64();
+    if (nvd > nd::kMaxRank) {
+      throw std::length_error("Metadata::deserialize: rank exceeds kMaxRank");
+    }
+    std::uint64_t varBytes = dataTypeSize(v.type);
     for (std::uint64_t d = 0; d < nvd; ++d) {
       std::size_t di = cur.getU64();
       if (di >= m.dims_.size()) {
         throw std::out_of_range("Metadata::deserialize: bad dim index");
       }
+      const auto length = static_cast<std::uint64_t>(m.dims_[di].length);
+      if (varBytes > kMaxIndex / length) {
+        throw std::length_error("Metadata::deserialize: variable too large");
+      }
+      varBytes *= length;
       v.dimIndices.push_back(di);
     }
     m.vars_.push_back(std::move(v));

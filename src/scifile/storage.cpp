@@ -13,7 +13,7 @@ namespace sidr::sci {
 
 void MemoryStorage::readAt(std::uint64_t offset,
                            std::span<std::byte> buf) const {
-  if (offset + buf.size() > bytes_.size()) {
+  if (offset > bytes_.size() || buf.size() > bytes_.size() - offset) {
     throw std::out_of_range("MemoryStorage::readAt: past end");
   }
   // An empty read may meet an empty (null-data) store: memcpy forbids it.

@@ -134,16 +134,14 @@ void expectSameSegments(const std::vector<mr::Segment>& dense,
 
 /// Runs `split` through the production pipeline with both mappers.
 void expectPipelineParity(const mr::InputSplit& split, mr::Mapper& dense,
-                          mr::Mapper& frozen, const ExtractionMap& ex,
-                          bool linearized) {
+                          mr::Mapper& frozen, const ExtractionMap& ex) {
   const nd::Coord keySpace = ex.intermediateSpaceShape();
   mr::ModuloPartitioner part(keySpace);
-  const nd::Coord declared = linearized ? keySpace : nd::Coord();
   auto factory = makeSyntheticReaderFactory(fieldValue);
   auto a = mr::runMapPipeline(split, split.id, factory, dense, part, kReducers,
-                              nullptr, declared);
+                              nullptr, keySpace);
   auto b = mr::runMapPipeline(split, split.id, factory, frozen, part,
-                              kReducers, nullptr, declared);
+                              kReducers, nullptr, keySpace);
   expectSameSegments(a, b);
 }
 
@@ -197,7 +195,7 @@ TEST(DenseMapperDifferential, StructuralMatchesFrozenAcrossGeometries) {
     for (const mr::InputSplit& split : splits) {
       StructuralMapper dense(g.query, ex);
       testsupport::FrozenStructuralMapper frozen(g.query, ex);
-      expectPipelineParity(split, dense, frozen, *ex, trial % 3 != 0);
+      expectPipelineParity(split, dense, frozen, *ex);
     }
   }
 }
@@ -216,7 +214,7 @@ TEST(DenseMapperDifferential, JoinSideMatchesFrozenAcrossGeometries) {
     for (const mr::InputSplit& split : splits) {
       JoinSideMapper dense(ex, keepAbove, side);
       testsupport::FrozenJoinSideMapper frozen(ex, keepAbove, side);
-      expectPipelineParity(split, dense, frozen, *ex, trial % 3 != 0);
+      expectPipelineParity(split, dense, frozen, *ex);
     }
   }
 }
@@ -262,10 +260,10 @@ TEST(DenseMapperDifferential, SplitsInGapsAndTruncatedTailsEmitNothing) {
     ASSERT_FALSE(ex->instanceRangeOf(c.split.regions[0]));
     StructuralMapper dense(c.query, ex);
     testsupport::FrozenStructuralMapper frozen(c.query, ex);
-    expectPipelineParity(c.split, dense, frozen, *ex, true);
+    expectPipelineParity(c.split, dense, frozen, *ex);
     JoinSideMapper denseJoin(ex, 0.0, 0);
     testsupport::FrozenJoinSideMapper frozenJoin(ex, 0.0, 0);
-    expectPipelineParity(c.split, denseJoin, frozenJoin, *ex, true);
+    expectPipelineParity(c.split, denseJoin, frozenJoin, *ex);
   }
 }
 

@@ -509,6 +509,14 @@ TEST(Engine, InvalidSpecsRejected) {
   QueryPlan plan = planner.plan(sh::temperatureField(), opts);
   plan.spec.reduceDeps.pop_back();  // break the dependency sets
   EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
+
+  // The intermediate key space is required, and must be a valid shape.
+  for (const nd::Coord& space : {nd::Coord(), nd::Coord{4, 0}}) {
+    QueryPlan noSpace = planner.plan(sh::temperatureField(), opts);
+    noSpace.spec.keySpace = space;
+    EXPECT_THROW(mr::Engine{std::move(noSpace.spec)}, std::invalid_argument)
+        << space.toString();
+  }
 }
 
 TEST(Engine, SingleThreadSingleReducer) {
@@ -546,6 +554,7 @@ TEST(Engine, ByteRangeSplitsMatchOracle) {
   spec.mapperFactory = sh::makeStructuralMapperFactory(q, extraction);
   spec.reducerFactory = sh::makeStructuralReducerFactory(q);
   spec.numReducers = 3;
+  spec.keySpace = extraction->intermediateSpaceShape();
   auto pp = std::make_shared<const PartitionPlus>(extraction, 3, 0);
   spec.partitioner = pp;
   spec.mode = mr::ExecutionMode::kSidr;
@@ -681,6 +690,50 @@ TEST(Engine, ReduceExceptionPropagatesWithoutWedging) {
     return std::make_unique<ThrowingReducer>();
   };
   EXPECT_THROW(mr::Engine(std::move(plan.spec)).run(), std::runtime_error);
+}
+
+TEST(Engine, ReducerKeyOutsideKeySpaceFailsTyped) {
+  // Reduce output is linearized for collectAll's merge, so a key
+  // outside keySpace is a reducer bug: the job fails with a logic_error
+  // naming the reduce task, as the map-side emit check does.
+  nd::Coord input{16, 8};
+  sh::StructuralQuery q = makeQuery(OperatorKind::kMean, nd::Coord{4, 4});
+  QueryPlanner planner(q, input);
+  PlanOptions opts;
+  opts.system = SystemMode::kSidr;
+  opts.numReducers = 4;
+  opts.desiredSplitCount = 4;
+  QueryPlan plan = planner.plan(sh::temperatureField(5), opts);
+  const nd::Coord space = plan.spec.keySpace;
+  nd::Coord last = space;
+  for (std::size_t d = 0; d < last.rank(); ++d) --last[d];
+  const std::uint32_t kb =
+      plan.spec.partitioner->partition(last, opts.numReducers);
+  plan.spec.reducerFactory = [space, last] {
+    class EscapingReducer final : public mr::Reducer {
+     public:
+      EscapingReducer(nd::Coord space, nd::Coord last)
+          : space_(space), last_(last) {}
+      void reduce(const nd::Coord& key, std::span<const mr::Value* const>,
+                  mr::ReduceContext& ctx) override {
+        // Only the last key's group escapes: one reduce task fails.
+        ctx.emit(key == last_ ? space_ : key, mr::Value::scalar(1.0));
+      }
+
+     private:
+      nd::Coord space_;
+      nd::Coord last_;
+    };
+    return std::make_unique<EscapingReducer>(space, last);
+  };
+  try {
+    mr::Engine(std::move(plan.spec)).run();
+    FAIL() << "an out-of-space reduce output must fail the job";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("reduce task " + std::to_string(kb)),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Engine, RepeatedRunsAreStableUnderThreads) {

@@ -1,13 +1,14 @@
-// Parity suite for the linearized-key fast path (DESIGN.md section 11).
+// Parity suite for the linearized-key path (DESIGN.md section 11).
 //
-// The fast path must be a pure optimization: with a keySpace declared
-// the pipeline batches reads, routes through partitionRun, buffers
-// packed records, and sorts (u64, index) pairs — yet every observable
-// artifact (segment wire bytes, reduce outputs, annotation tallies)
-// must be identical to the per-record lexicographic fallback. These
-// tests pin that equivalence at three levels: the map pipeline's
-// segments, the packed Segment representation itself, and whole engine
-// runs (in-memory, spilled, and under fault recovery).
+// Linearization must be a pure optimization: the pipeline batches
+// reads, routes through partitionRun, buffers packed records, and sorts
+// (u64, index) pairs — yet every observable artifact (segment wire
+// bytes, reduce outputs, annotation tallies) must be identical to the
+// per-record lexicographic pipeline, kept as a frozen oracle in
+// tests/support/frozen_lex_pipeline.*. These tests pin that equivalence
+// at three levels: the map pipeline's segments, the packed Segment
+// representation itself, and whole engine runs (in-memory, spilled, and
+// under fault recovery).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include "mapreduce/partitioners.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/frozen_lex_pipeline.hpp"
 
 namespace sidr::core {
 namespace {
@@ -84,24 +86,27 @@ nd::Coord randomShape(std::mt19937_64& rng, std::size_t rank, int lo, int hi) {
 /// Byte-for-byte segment equality, the strongest parity statement the
 /// wire format allows.
 void expectSegmentsBitIdentical(const std::vector<mr::Segment>& fast,
-                                const std::vector<mr::Segment>& fallback) {
-  ASSERT_EQ(fast.size(), fallback.size());
+                                const std::vector<mr::Segment>& oracle) {
+  ASSERT_EQ(fast.size(), oracle.size());
   for (std::size_t kb = 0; kb < fast.size(); ++kb) {
     SCOPED_TRACE("keyblock " + std::to_string(kb));
-    EXPECT_EQ(fast[kb].header(), fallback[kb].header());
-    EXPECT_EQ(fast[kb].serialize(), fallback[kb].serialize());
+    EXPECT_EQ(fast[kb].header(), oracle[kb].header());
+    EXPECT_EQ(fast[kb].serialize(), oracle[kb].serialize());
   }
 }
 
-void expectSameCollected(const mr::JobResult& a, const mr::JobResult& b) {
-  auto xs = a.collectAll();
-  auto ys = b.collectAll();
+void expectSameCollected(const std::vector<mr::KeyValue>& xs,
+                         const std::vector<mr::KeyValue>& ys) {
   ASSERT_EQ(xs.size(), ys.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     EXPECT_EQ(xs[i].key, ys[i].key) << "at " << i;
     EXPECT_EQ(xs[i].value, ys[i].value) << "at " << i;
     EXPECT_EQ(xs[i].represents, ys[i].represents) << "at " << i;
   }
+}
+
+void expectSameCollected(const mr::JobResult& a, const mr::JobResult& b) {
+  expectSameCollected(a.collectAll(), b.collectAll());
 }
 
 /// Event-log invariant (mirrors engine_test): every start pairs with
@@ -148,12 +153,12 @@ TEST(MapPipelineParity, RandomizedSegmentsBitIdentical) {
     auto fast = mr::runMapPipeline(split, 0, factory, fastMapper, part,
                                    reducers, nullptr, keySpace);
     FoldingMapper slowMapper(keySpace, /*partialOnly=*/false);
-    auto fallback = mr::runMapPipeline(split, 0, factory, slowMapper, part,
-                                       reducers, nullptr, nd::Coord());
+    auto oracle = testsupport::frozenLexMapPipeline(
+        split, 0, factory, slowMapper, part, reducers, nullptr, keySpace);
     // Without a combiner the fast path's segments are still packed —
     // the map side never materializes KeyValues.
     for (const auto& seg : fast) EXPECT_TRUE(seg.packed());
-    expectSegmentsBitIdentical(fast, fallback);
+    expectSegmentsBitIdentical(fast, oracle);
   }
 }
 
@@ -174,9 +179,9 @@ TEST(MapPipelineParity, CombinerSegmentsBitIdentical) {
     auto fast = mr::runMapPipeline(split, 0, factory, fastMapper, part, 4,
                                    &combiner, keySpace);
     FoldingMapper slowMapper(keySpace, /*partialOnly=*/true);
-    auto fallback = mr::runMapPipeline(split, 0, factory, slowMapper, part, 4,
-                                       &combiner, nd::Coord());
-    expectSegmentsBitIdentical(fast, fallback);
+    auto oracle = testsupport::frozenLexMapPipeline(
+        split, 0, factory, slowMapper, part, 4, &combiner, keySpace);
+    expectSegmentsBitIdentical(fast, oracle);
   }
 }
 
@@ -207,9 +212,9 @@ TEST(MapPipelineParity, DuplicateKeysKeepEmissionOrder) {
       mr::runMapPipeline(split, 0, factory, fastMapper, part, 2, nullptr,
                          keySpace);
   TwoKeyMapper slowMapper;
-  auto fallback = mr::runMapPipeline(split, 0, factory, slowMapper, part, 2,
-                                     nullptr, nd::Coord());
-  expectSegmentsBitIdentical(fast, fallback);
+  auto oracle = testsupport::frozenLexMapPipeline(
+      split, 0, factory, slowMapper, part, 2, nullptr, keySpace);
+  expectSegmentsBitIdentical(fast, oracle);
 }
 
 TEST(MapPipelineParity, BatchedReadersMatchPerRecord) {
@@ -290,16 +295,20 @@ TEST(PackedSegment, LazyMaterializationMatchesEagerConstruction) {
   add(nd::Coord{0, 1}, mr::Value::list({2.0}), 1);  // duplicate key
 
   mr::Segment lazy(1, 2, std::move(packed), std::move(lists), keySpace);
-  mr::Segment reference(1, 2, std::move(eager));
+  mr::Segment reference(1, 2, std::move(eager), keySpace);
   EXPECT_TRUE(lazy.packed());
   EXPECT_FALSE(lazy.empty());
-  EXPECT_TRUE(lazy.hasLinearKeys());
+  EXPECT_EQ(lazy.keySpaceShape(), keySpace);
   EXPECT_EQ(lazy.header(), reference.header());
   EXPECT_EQ(lazy.header().numRecords, 5u);
   EXPECT_EQ(lazy.header().represents, 11u);
 
   lazy.sortByKey();
   reference.sortByKey();
+  // The reference encodes from its materialized view, so the packed
+  // encoder is checked against the KeyValue one.
+  ASSERT_EQ(reference.records().size(), 5u);
+  EXPECT_FALSE(reference.packed());
   EXPECT_TRUE(lazy.packed()) << "sorting must not materialize";
   EXPECT_TRUE(lazy.isSorted());
   EXPECT_EQ(lazy.serialize(), reference.serialize());
@@ -331,9 +340,8 @@ TEST(PackedSegment, SpillRoundTripPreservesRecords) {
   mr::Segment seg(0, 0, std::move(packed), std::move(lists), keySpace);
   seg.sortByKey();
   auto bytes = seg.serialize();
-  mr::Segment back = mr::Segment::deserialize(bytes);
+  mr::Segment back = mr::Segment::deserialize(bytes, keySpace);
   EXPECT_EQ(back.header(), seg.header());
-  back.computeLinearKeys(keySpace);
   ASSERT_EQ(back.records().size(), seg.records().size());
   for (std::size_t i = 0; i < back.records().size(); ++i) {
     EXPECT_EQ(back.records()[i].key, seg.records()[i].key);
@@ -348,6 +356,9 @@ TEST(PackedSegment, InvalidKeySpaceRejected) {
                std::invalid_argument);
   EXPECT_THROW(mr::Segment(0, 0, packed, {}, nd::Coord{4, 0}),
                std::invalid_argument);
+  std::vector<mr::KeyValue> records{{nd::Coord{1}, mr::Value::scalar(1.0), 1}};
+  EXPECT_THROW(mr::Segment(0, 0, records, nd::Coord()), std::invalid_argument);
+  EXPECT_THROW(mr::Segment(0, 0, records, nd::Coord{1}), std::out_of_range);
 }
 
 // ---- engine level ----
@@ -379,23 +390,19 @@ TEST(EngineParity, FastVsFallbackEndToEnd) {
 
       QueryPlan fastPlan = planner.plan(fn, opts);
       ASSERT_GT(fastPlan.spec.keySpace.rank(), 0u)
-          << "planner must enable the fast path";
+          << "planner must declare the key space";
+      const auto oracle = testsupport::frozenLexCollectAll(fastPlan.spec);
       mr::JobResult fast = mr::Engine(std::move(fastPlan.spec)).run();
 
-      QueryPlan slowPlan = planner.plan(fn, opts);
-      slowPlan.spec.keySpace = nd::Coord();  // force the fallback
-      mr::JobResult fallback = mr::Engine(std::move(slowPlan.spec)).run();
-
       EXPECT_EQ(fast.annotationViolations, 0u);
-      EXPECT_EQ(fallback.annotationViolations, 0u);
-      expectSameCollected(fast, fallback);
+      expectSameCollected(fast.collectAll(), oracle);
 
       sh::ExtractionMap ex(q, input);
-      auto oracle = sh::runSerialOracle(q, ex, fn);
+      auto serial = sh::runSerialOracle(q, ex, fn);
       auto got = fast.collectAll();
-      ASSERT_EQ(got.size(), oracle.size());
+      ASSERT_EQ(got.size(), serial.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].key, oracle[i].key);
+        EXPECT_EQ(got[i].key, serial[i].key);
       }
     }
   }
@@ -416,22 +423,17 @@ TEST(EngineParity, SpilledFastVsFallback) {
 
   QueryPlan fastPlan = planner.plan(fn, opts);
   fastPlan.spec.spillDirectory = dir;
+  const auto oracle = testsupport::frozenLexCollectAll(fastPlan.spec);
   mr::JobResult fast = mr::Engine(std::move(fastPlan.spec)).run();
-
-  QueryPlan slowPlan = planner.plan(fn, opts);
-  slowPlan.spec.spillDirectory = dir + "_fb";
-  slowPlan.spec.keySpace = nd::Coord();
-  mr::JobResult fallback = mr::Engine(std::move(slowPlan.spec)).run();
 
   QueryPlan memPlan = planner.plan(fn, opts);
   mr::JobResult inMemory = mr::Engine(std::move(memPlan.spec)).run();
 
   std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(dir + "_fb");
 
   EXPECT_EQ(fast.annotationViolations, 0u);
   EXPECT_GT(fast.shuffleBytes, 0u) << "spill mode must hit the wire format";
-  expectSameCollected(fast, fallback);
+  expectSameCollected(fast.collectAll(), oracle);
   expectSameCollected(fast, inMemory);
 }
 
@@ -455,23 +457,16 @@ TEST(EngineParity, FaultRecoveryOnFastPath) {
 
     QueryPlan fastPlan = planner.plan(fn, opts);
     if (spill) fastPlan.spec.spillDirectory = dir;
+    const auto oracle = testsupport::frozenLexCollectAll(fastPlan.spec);
     mr::JobResult fast = mr::Engine(std::move(fastPlan.spec)).run();
 
-    QueryPlan slowPlan = planner.plan(fn, opts);
-    if (spill) slowPlan.spec.spillDirectory = dir + "_fb";
-    slowPlan.spec.keySpace = nd::Coord();
-    mr::JobResult fallback = mr::Engine(std::move(slowPlan.spec)).run();
-
-    if (spill) {
-      std::filesystem::remove_all(dir);
-      std::filesystem::remove_all(dir + "_fb");
-    }
+    if (spill) std::filesystem::remove_all(dir);
 
     EXPECT_EQ(fast.mapFailures, 1u);
     EXPECT_EQ(fast.reduceFailures, 1u);
     EXPECT_EQ(fast.annotationViolations, 0u);
     expectEventLogWellPaired(fast);
-    expectSameCollected(fast, fallback);
+    expectSameCollected(fast.collectAll(), oracle);
   }
 }
 

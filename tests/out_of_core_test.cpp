@@ -153,7 +153,7 @@ TEST(OutOfCoreValidation, CompressWithoutKeySpaceRejected) {
   plan.spec.spillDirectory =
       (std::filesystem::temp_directory_path() / "sidr_ooc_reject").string();
   plan.spec.compressSpill = true;
-  plan.spec.keySpace = nd::Coord{};  // the codec delta-encodes linear keys
+  plan.spec.keySpace = nd::Coord{};  // rejected for every job
   EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
 }
 

@@ -120,6 +120,7 @@ TEST_P(RandomizedOracle, EngineMatchesOracle) {
         sh::makeStructuralMapperFactory(cfg.query, extraction);
     spec.reducerFactory = sh::makeStructuralReducerFactory(cfg.query);
     spec.numReducers = cfg.reducers;
+    spec.keySpace = extraction->intermediateSpaceShape();
     if (cfg.system == SystemMode::kSidr) {
       auto pp = std::make_shared<const PartitionPlus>(extraction,
                                                       cfg.reducers, 0);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -266,6 +267,126 @@ TEST(Dataset, OpenRejectsGarbage) {
   std::vector<std::byte> junk(64, std::byte{0x5A});
   storage->writeAt(0, junk);
   EXPECT_THROW(Dataset::open(storage), std::runtime_error);
+}
+
+/// Opens `bytes` as an SNDF file and touches everything open() decoded:
+/// metadata rendering, shapes and sizes, and one element of each
+/// variable. Returns normally or throws whatever the decoders throw.
+void openAndTouch(const std::vector<std::byte>& bytes) {
+  auto storage = std::make_shared<MemoryStorage>();
+  storage->writeAt(0, bytes);
+  Dataset ds = Dataset::open(storage);
+  const Metadata& meta = ds.metadata();
+  (void)meta.toText();
+  (void)ds.totalByteSize();
+  for (std::size_t v = 0; v < meta.variables().size(); ++v) {
+    const std::size_t rank = meta.variableShape(v).rank();
+    (void)meta.variableByteSize(v);
+    (void)ds.readRegion(
+        v, nd::Region(nd::Coord::zeros(rank), nd::Coord::ones(rank)));
+  }
+}
+
+/// Corrupt input may decode or be rejected, but only with the decoders'
+/// typed errors: anything else (std::bad_alloc from a trusted length, a
+/// crash, undefined behaviour under the UBSan leg) fails the run.
+void expectOpenOrTypedError(const std::vector<std::byte>& bytes) {
+  try {
+    openAndTouch(bytes);
+  } catch (const std::out_of_range&) {
+  } catch (const std::invalid_argument&) {
+  } catch (const std::length_error&) {
+  } catch (const std::runtime_error&) {
+  }
+}
+
+TEST(Dataset, CorruptHeaderFuzzOnlyTypedErrors) {
+  Metadata meta;
+  meta.addDimension("time", 4);
+  meta.addDimension("lat", 3);
+  meta.addDimension("lon", 5);
+  meta.addVariable("temperature", DataType::kInt32, {"time", "lat", "lon"});
+  meta.addVariable("wind", DataType::kFloat64, {"lat", "lon"});
+  meta.setAttribute("units", "K");
+  auto storage = std::make_shared<MemoryStorage>();
+  Dataset::create(storage, meta);
+  std::vector<std::byte> valid(storage->size());
+  storage->readAt(0, valid);
+  openAndTouch(valid);  // the uncorrupted file opens cleanly
+
+  // Every prefix: truncated magic, length word, metadata, payload.
+  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+    expectOpenOrTypedError(
+        std::vector<std::byte>(valid.begin(),
+                               valid.begin() + static_cast<long>(cut)));
+  }
+  // Seeded byte mutations confined to the header (magic, length word
+  // and metadata), where every length and count the decoder trusts
+  // lives; absurd dimension lengths must not overflow a size.
+  std::uint64_t metaLen = 0;
+  for (int b = 0; b < 8; ++b) {
+    metaLen |=
+        static_cast<std::uint64_t>(valid[8 + static_cast<std::size_t>(b)])
+        << (b * 8);
+  }
+  const std::size_t headerBytes = 16 + static_cast<std::size_t>(metaLen);
+  std::mt19937_64 rng(0x5d4fu);
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::vector<std::byte> bytes = valid;
+    const std::size_t flips = 1 + rng() % 6;
+    for (std::size_t f = 0; f < flips; ++f) {
+      const std::size_t at = rng() % headerBytes;
+      // Half the mutations flip one byte; the rest write a short run of
+      // 0xff, which turns any length, count or dimension word it lands
+      // in into a huge value.
+      if (rng() % 2 == 0) {
+        bytes[at] ^= static_cast<std::byte>(1 + rng() % 255);
+      } else {
+        const std::size_t end = std::min(at + 1 + rng() % 8, headerBytes);
+        for (std::size_t b = at; b < end; ++b) bytes[b] = std::byte{0xff};
+      }
+    }
+    if (rng() % 5 == 0) bytes.resize(rng() % (bytes.size() + 1));
+    expectOpenOrTypedError(bytes);
+  }
+}
+
+TEST(Dataset, OpenRejectsMetadataLengthPastEnd) {
+  // The length word is bounded by the file before anything is
+  // allocated from it.
+  auto storage = std::make_shared<MemoryStorage>();
+  Dataset::create(storage, paperMetadata());
+  std::vector<std::byte> head(16);
+  storage->readAt(0, head);
+  for (std::size_t b = 8; b < 16; ++b) head[b] = std::byte{0x7f};
+  auto truncated = std::make_shared<MemoryStorage>();
+  truncated->writeAt(0, head);
+  EXPECT_THROW(Dataset::open(truncated), std::out_of_range);
+}
+
+TEST(Metadata, DeserializeRejectsWhatAddVariableRejects) {
+  Metadata meta;
+  meta.addDimension("x", 4);
+  meta.addVariable("v", DataType::kFloat64, {"x"});
+  const std::vector<std::byte> valid = meta.serialize();
+  // Layout: nDims(8) + name "x"(8+1) + length(8) + nVars(8) + name
+  // "v"(8+1) = the type word at offset 42, the rank word at 50.
+  auto withWordAt = [&](std::size_t off, std::uint64_t x) {
+    std::vector<std::byte> bytes = valid;
+    for (int b = 0; b < 8; ++b) {
+      bytes[off + static_cast<std::size_t>(b)] =
+          static_cast<std::byte>((x >> (b * 8)) & 0xff);
+    }
+    return bytes;
+  };
+  ASSERT_EQ(Metadata::deserialize(withWordAt(42, 3)), meta);
+  EXPECT_THROW(Metadata::deserialize(withWordAt(42, 4)), std::runtime_error);
+  EXPECT_THROW(Metadata::deserialize(withWordAt(42, 255)), std::runtime_error);
+  EXPECT_THROW(Metadata::deserialize(withWordAt(50, nd::kMaxRank + 1)),
+               std::length_error);
+  // A dimension so long the variable's byte size overflows.
+  EXPECT_THROW(Metadata::deserialize(withWordAt(17, std::uint64_t{1} << 61)),
+               std::length_error);
 }
 
 TEST(Dataset, FillWholeVariable) {

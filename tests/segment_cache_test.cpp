@@ -404,7 +404,8 @@ std::shared_ptr<const mr::Segment> makeSegment(std::uint32_t map,
     kv.represents = 2;
     kvs.push_back(std::move(kv));
   }
-  return std::make_shared<const mr::Segment>(map, kb, std::move(kvs));
+  return std::make_shared<const mr::Segment>(map, kb, std::move(kvs),
+                                             nd::Coord{8});
 }
 
 mr::SegmentCacheDonation makeDonation(Fingerprint128 key, std::uint32_t maps,
@@ -543,7 +544,8 @@ TEST(SegmentCacheUnit, FileBackedEntryDemotesAndPromotes) {
   const auto& records = claimed->segments[0][0]->records();
   ASSERT_EQ(records.size(), 5u);
   EXPECT_EQ(records[2].value.asScalar(), 9.0);
-  EXPECT_TRUE(claimed->segments[0][0]->hasLinearKeys());
+  ASSERT_EQ(claimed->segments[0][0]->linearKeys().size(), 5u);
+  EXPECT_EQ(claimed->segments[0][0]->linearKeys()[2], 2u);
 
   // Shedding demotes (the files still back it) instead of evicting.
   cache.shedTo(0);

@@ -58,8 +58,11 @@ std::vector<KeyValue> sampleRecords() {
   };
 }
 
+/// Key space of sampleRecords().
+const nd::Coord kSampleSpace{3, 4};
+
 TEST(Segment, HeaderAnnotationsSumRepresents) {
-  Segment seg(7, 3, sampleRecords());
+  Segment seg(7, 3, sampleRecords(), kSampleSpace);
   EXPECT_EQ(seg.header().mapTask, 7u);
   EXPECT_EQ(seg.header().keyblock, 3u);
   EXPECT_EQ(seg.header().numRecords, 4u);
@@ -67,7 +70,7 @@ TEST(Segment, HeaderAnnotationsSumRepresents) {
 }
 
 TEST(Segment, SortByKey) {
-  Segment seg(0, 0, sampleRecords());
+  Segment seg(0, 0, sampleRecords(), kSampleSpace);
   EXPECT_FALSE(seg.isSorted());
   seg.sortByKey();
   EXPECT_TRUE(seg.isSorted());
@@ -76,10 +79,10 @@ TEST(Segment, SortByKey) {
 }
 
 TEST(Segment, SerializeRoundTrip) {
-  Segment seg(9, 2, sampleRecords());
+  Segment seg(9, 2, sampleRecords(), kSampleSpace);
   seg.sortByKey();
   auto bytes = seg.serialize();
-  Segment back = Segment::deserialize(bytes);
+  Segment back = Segment::deserialize(bytes, kSampleSpace);
   EXPECT_EQ(back.header(), seg.header());
   ASSERT_EQ(back.records().size(), seg.records().size());
   for (std::size_t i = 0; i < seg.records().size(); ++i) {
@@ -92,7 +95,7 @@ TEST(Segment, SerializeRoundTrip) {
 TEST(Segment, PeekHeaderWithoutParsingRecords) {
   // Section 3.2.1: reduces tally annotations "without having to read
   // and parse those files" — the header must be readable standalone.
-  Segment seg(4, 1, sampleRecords());
+  Segment seg(4, 1, sampleRecords(), kSampleSpace);
   auto bytes = seg.serialize();
   SegmentHeader h = Segment::peekHeader(bytes);
   EXPECT_EQ(h, seg.header());
@@ -102,17 +105,17 @@ TEST(Segment, PeekHeaderWithoutParsingRecords) {
 }
 
 TEST(Segment, DeserializeRejectsTruncation) {
-  Segment seg(0, 0, sampleRecords());
+  Segment seg(0, 0, sampleRecords(), kSampleSpace);
   auto bytes = seg.serialize();
   bytes.resize(bytes.size() - 1);
-  EXPECT_THROW(Segment::deserialize(bytes), std::out_of_range);
+  EXPECT_THROW(Segment::deserialize(bytes, kSampleSpace), std::out_of_range);
 }
 
 TEST(Segment, SerializedSizeIsExact) {
   for (auto& records :
        {sampleRecords(), std::vector<KeyValue>{},
-        std::vector<KeyValue>{{nd::Coord{}, Value::scalar(1.0), 1}}}) {
-    Segment seg(1, 2, records);
+        std::vector<KeyValue>{{nd::Coord{0, 0}, Value::scalar(1.0), 1}}}) {
+    Segment seg(1, 2, records, kSampleSpace);
     EXPECT_EQ(seg.serializedSize(), seg.serialize().size());
   }
 }
@@ -120,12 +123,12 @@ TEST(Segment, SerializedSizeIsExact) {
 TEST(Segment, DeserializeRejectsEveryTruncationPoint) {
   // Cutting the encoding anywhere must throw — never crash, never
   // succeed with partial data.
-  Segment seg(3, 1, sampleRecords());
+  Segment seg(3, 1, sampleRecords(), kSampleSpace);
   auto bytes = seg.serialize();
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<std::byte> prefix(bytes.begin(),
                                   bytes.begin() + static_cast<long>(cut));
-    EXPECT_THROW(Segment::deserialize(prefix), std::exception)
+    EXPECT_THROW(Segment::deserialize(prefix, kSampleSpace), std::exception)
         << "prefix length " << cut;
   }
 }
@@ -133,7 +136,7 @@ TEST(Segment, DeserializeRejectsEveryTruncationPoint) {
 TEST(Segment, DeserializeRejectsCorruptRecordCount) {
   // A corrupt header claiming a huge record count must be rejected by
   // comparing against the remaining byte count, BEFORE any reserve.
-  Segment seg(0, 0, sampleRecords());
+  Segment seg(0, 0, sampleRecords(), kSampleSpace);
   auto bytes = seg.serialize();
   auto writeU64At = [&](std::size_t off, std::uint64_t x) {
     for (int b = 0; b < 8; ++b) {
@@ -142,11 +145,12 @@ TEST(Segment, DeserializeRejectsCorruptRecordCount) {
     }
   };
   writeU64At(16, std::uint64_t{1} << 60);  // numRecords word
-  EXPECT_THROW(Segment::deserialize(bytes), std::out_of_range);
+  EXPECT_THROW(Segment::deserialize(bytes, kSampleSpace), std::out_of_range);
 }
 
 TEST(Segment, DeserializeRejectsCorruptListLength) {
-  Segment seg(0, 0, {{nd::Coord{1}, Value::list({1.0, 2.0}), 1}});
+  const nd::Coord space{2};
+  Segment seg(0, 0, {{nd::Coord{1}, Value::list({1.0, 2.0}), 1}}, space);
   auto bytes = seg.serialize();
   // Layout: header (32) + rank (8) + 1 coord (8) + represents (8) +
   // kind (8) = 64 bytes before the list length word.
@@ -155,36 +159,72 @@ TEST(Segment, DeserializeRejectsCorruptListLength) {
     bytes[64 + static_cast<std::size_t>(b)] =
         static_cast<std::byte>((huge >> (b * 8)) & 0xff);
   }
-  EXPECT_THROW(Segment::deserialize(bytes), std::out_of_range);
+  EXPECT_THROW(Segment::deserialize(bytes, space), std::out_of_range);
 }
 
 TEST(Segment, DeserializeRejectsCorruptRank) {
-  Segment seg(0, 0, {{nd::Coord{1}, Value::scalar(2.0), 1}});
+  const nd::Coord space{2};
+  Segment seg(0, 0, {{nd::Coord{1}, Value::scalar(2.0), 1}}, space);
   auto bytes = seg.serialize();
   bytes[32] = static_cast<std::byte>(200);  // rank word: > kMaxRank
-  EXPECT_THROW(Segment::deserialize(bytes), std::runtime_error);
+  EXPECT_THROW(Segment::deserialize(bytes, space), std::runtime_error);
 }
 
 TEST(Segment, DeserializeRejectsTrailingBytes) {
-  Segment seg(0, 0, sampleRecords());
+  Segment seg(0, 0, sampleRecords(), kSampleSpace);
   auto bytes = seg.serialize();
   bytes.push_back(std::byte{0});
-  EXPECT_THROW(Segment::deserialize(bytes), std::runtime_error);
+  EXPECT_THROW(Segment::deserialize(bytes, kSampleSpace), std::runtime_error);
+}
+
+TEST(Segment, DecodersRejectKeysOutsideKeySpace) {
+  // Structurally valid bytes whose key lies outside the decoder's key
+  // space (or has the wrong rank) fail at decode, typed, on both
+  // uncompressed decoders.
+  Segment seg(0, 0, {{nd::Coord{5, 5}, Value::scalar(1.0), 1}},
+              nd::Coord{8, 8});
+  const auto bytes = seg.serialize();
+  for (const nd::Coord& space : {nd::Coord{4, 4}, nd::Coord{64}}) {
+    SCOPED_TRACE(space.toString());
+    EXPECT_THROW(Segment::deserialize(bytes, space), std::out_of_range);
+    auto storage = std::make_unique<sci::MemoryStorage>();
+    storage->writeAt(0, bytes);
+    EXPECT_THROW(SegmentStream(std::move(storage), 64, false, space),
+                 std::out_of_range);
+  }
+  EXPECT_THROW(Segment::deserialize(bytes, nd::Coord()),
+               std::invalid_argument);
+}
+
+TEST(Segment, MaterializedSegmentsOnlyConfirmSortedness) {
+  // Only the packed form sorts; a decoded segment is checked, not
+  // re-sorted.
+  Segment unsorted(0, 0, sampleRecords(), kSampleSpace);
+  Segment decoded = Segment::deserialize(unsorted.serialize(), kSampleSpace);
+  EXPECT_FALSE(decoded.packed());
+  EXPECT_THROW(decoded.sortByKey(), std::logic_error);
+  unsorted.sortByKey();
+  Segment sorted = Segment::deserialize(unsorted.serialize(), kSampleSpace);
+  SortStats& stats = sortStats();
+  stats.reset();
+  sorted.sortByKey();
+  EXPECT_EQ(stats.sortedSkips, 1u);
 }
 
 TEST(Segment, RoundTripPropertyAllValueKinds) {
-  // Randomized round-trip sweep over every ValueKind, ranks 0..4
-  // (including rank-0 keys) and empty segments.
+  // Randomized round-trip sweep over every ValueKind, ranks 1..4 and
+  // empty segments.
   std::mt19937_64 rng(1234);
   for (int trial = 0; trial < 50; ++trial) {
-    std::size_t rank = rng() % 5;
+    std::size_t rank = 1 + rng() % 4;
+    const nd::Coord space = nd::Coord::filled(rank, 1000);
     std::size_t count = trial == 0 ? 0 : rng() % 40;
     std::vector<KeyValue> records;
     for (std::size_t i = 0; i < count; ++i) {
       KeyValue kv;
       nd::Coord key = nd::Coord::zeros(rank);
       for (std::size_t d = 0; d < rank; ++d) {
-        key[d] = static_cast<nd::Index>(rng() % 1000) - 500;
+        key[d] = static_cast<nd::Index>(rng() % 1000);
       }
       kv.key = key;
       kv.represents = rng() % 1000;
@@ -211,10 +251,11 @@ TEST(Segment, RoundTripPropertyAllValueKinds) {
       records.push_back(std::move(kv));
     }
     Segment seg(static_cast<std::uint32_t>(rng() % 64),
-                static_cast<std::uint32_t>(rng() % 16), std::move(records));
+                static_cast<std::uint32_t>(rng() % 16), std::move(records),
+                space);
     auto bytes = seg.serialize();
     ASSERT_EQ(bytes.size(), seg.serializedSize());
-    Segment back = Segment::deserialize(bytes);
+    Segment back = Segment::deserialize(bytes, space);
     EXPECT_EQ(back.header(), seg.header());
     ASSERT_EQ(back.records().size(), seg.records().size());
     for (std::size_t i = 0; i < seg.records().size(); ++i) {
@@ -226,10 +267,10 @@ TEST(Segment, RoundTripPropertyAllValueKinds) {
 }
 
 TEST(Segment, EmptySegment) {
-  Segment seg(1, 2, {});
+  Segment seg(1, 2, std::vector<KeyValue>{}, kSampleSpace);
   EXPECT_TRUE(seg.empty());
   EXPECT_EQ(seg.header().represents, 0u);
-  Segment back = Segment::deserialize(seg.serialize());
+  Segment back = Segment::deserialize(seg.serialize(), kSampleSpace);
   EXPECT_TRUE(back.empty());
 }
 
@@ -238,7 +279,8 @@ TEST(Segment, CombineWithMergesEqualKeys) {
               {{nd::Coord{1}, Value::partial(Partial::ofValue(2.0)), 1},
                {nd::Coord{1}, Value::partial(Partial::ofValue(4.0)), 2},
                {nd::Coord{2}, Value::partial(Partial::ofValue(9.0)), 1},
-               {nd::Coord{1}, Value::partial(Partial::ofValue(6.0)), 1}});
+               {nd::Coord{1}, Value::partial(Partial::ofValue(6.0)), 1}},
+              nd::Coord{3});
   seg.sortByKey();
   std::uint64_t representsBefore = seg.header().represents;
   PartialMergeCombiner combiner;
@@ -254,14 +296,15 @@ TEST(Segment, CombineWithMergesEqualKeys) {
   EXPECT_EQ(seg.header().represents, representsBefore);
   EXPECT_EQ(seg.header().numRecords, 2u);
   // Serialization stays self-consistent after combining.
-  Segment back = Segment::deserialize(seg.serialize());
+  Segment back = Segment::deserialize(seg.serialize(), nd::Coord{3});
   EXPECT_EQ(back.header(), seg.header());
 }
 
 TEST(Segment, ListConcatCombiner) {
   Segment seg(0, 0,
               {{nd::Coord{5}, Value::list({1.0, 2.0}), 2},
-               {nd::Coord{5}, Value::list({3.0}), 1}});
+               {nd::Coord{5}, Value::list({3.0}), 1}},
+              nd::Coord{6});
   seg.sortByKey();
   ListConcatCombiner combiner;
   seg.combineWith(combiner);
@@ -274,10 +317,12 @@ TEST(Segment, ListConcatCombiner) {
 TEST(SegmentMerger, GroupsAcrossSegments) {
   Segment a(0, 0,
             {{nd::Coord{1}, Value::scalar(1.0), 1},
-             {nd::Coord{3}, Value::scalar(3.0), 1}});
+             {nd::Coord{3}, Value::scalar(3.0), 1}},
+            nd::Coord{4});
   Segment b(1, 0,
             {{nd::Coord{1}, Value::scalar(10.0), 2},
-             {nd::Coord{2}, Value::scalar(2.0), 1}});
+             {nd::Coord{2}, Value::scalar(2.0), 1}},
+            nd::Coord{4});
   a.sortByKey();
   b.sortByKey();
   std::vector<const Segment*> segs{&a, &b};
@@ -304,7 +349,7 @@ TEST(SegmentMerger, ManySegmentsStaySorted) {
     for (nd::Index k = 0; k < 20; ++k) {
       recs.push_back({nd::Coord{(k * 7 + m) % 40}, Value::scalar(1.0), 1});
     }
-    Segment s(m, 0, std::move(recs));
+    Segment s(m, 0, std::move(recs), nd::Coord{40});
     s.sortByKey();
     segs.push_back(std::move(s));
   }
@@ -420,23 +465,19 @@ Segment randomSortedSegment(std::mt19937_64& rng, const nd::Coord& keySpace,
     }
     records.push_back(std::move(kv));
   }
-  Segment seg(1, 0, std::move(records));
-  seg.computeLinearKeys(keySpace);
+  Segment seg(1, 0, std::move(records), keySpace);
   seg.sortByKey();
   return seg;
 }
 
 void expectStreamMatches(SegmentStream& stream, const Segment& want,
-                         bool wantLin, const nd::Coord& keySpace) {
+                         const nd::Coord& keySpace) {
   EXPECT_EQ(stream.header(), want.header());
-  EXPECT_EQ(stream.hasLin(), wantLin);
   for (std::size_t i = 0; i < want.records().size(); ++i) {
     ASSERT_FALSE(stream.exhausted());
-    if (wantLin) {
-      EXPECT_EQ(stream.currentLin(),
-                static_cast<std::uint64_t>(
-                    nd::linearize(want.records()[i].key, keySpace)));
-    }
+    EXPECT_EQ(stream.currentLin(),
+              static_cast<std::uint64_t>(
+                  nd::linearize(want.records()[i].key, keySpace)));
     KeyValue got = stream.take();
     EXPECT_EQ(got.key, want.records()[i].key);
     EXPECT_EQ(got.value, want.records()[i].value);
@@ -457,17 +498,16 @@ TEST(SegmentStream, WindowedDecodeMatchesDeserialize) {
                                std::size_t{1} << 20}) {
       SegmentStream stream(memoryStorageOf(bytes), window,
                            /*compressed=*/false, keySpace);
-      expectStreamMatches(stream, seg, /*wantLin=*/true, keySpace);
+      expectStreamMatches(stream, seg, keySpace);
       EXPECT_EQ(stream.bytesRead(), bytes.size());
       if (window == 64 && count == 80) {
         EXPECT_LT(stream.peakWindowBytes(), bytes.size())
             << "a small window must never buffer the whole file";
       }
     }
-    // Without a key space the stream serves no linear keys but the
-    // records are the same.
-    SegmentStream plain(memoryStorageOf(bytes), 512, false, nd::Coord());
-    expectStreamMatches(plain, seg, /*wantLin=*/false, keySpace);
+    // Every stream linearizes its keys: a key space is required.
+    EXPECT_THROW(SegmentStream(memoryStorageOf(bytes), 512, false, nd::Coord()),
+                 std::invalid_argument);
   }
 }
 
@@ -483,7 +523,7 @@ TEST(SegmentStream, CompressedRoundTripMatches) {
     for (std::size_t window : {std::size_t{64}, std::size_t{1} << 20}) {
       SegmentStream stream(memoryStorageOf(bytes), window,
                            /*compressed=*/true, keySpace);
-      expectStreamMatches(stream, seg, /*wantLin=*/true, keySpace);
+      expectStreamMatches(stream, seg, keySpace);
     }
     // fromStream materializes the same segment (the eager-spill decode
     // path for compressed files).
@@ -496,7 +536,10 @@ TEST(SegmentStream, CompressedRoundTripMatches) {
       EXPECT_EQ(back.records()[i].value, seg.records()[i].value);
       EXPECT_EQ(back.records()[i].represents, seg.records()[i].represents);
     }
-    EXPECT_TRUE(back.hasLinearKeys());
+    ASSERT_EQ(back.linearKeys().size(), seg.linearKeys().size());
+    for (std::size_t i = 0; i < seg.linearKeys().size(); ++i) {
+      EXPECT_EQ(back.linearKeys()[i], seg.linearKeys()[i]);
+    }
   }
 }
 
@@ -531,7 +574,7 @@ TEST(SegmentStream, CompressedPackedEncodeMatchesMaterialized) {
   addPacked(7, Value::list({}), 9);
   addPacked(19, Value::scalar(-2.5), 1);
   Segment lazy(0, 0, std::move(packed), std::move(lists), keySpace);
-  Segment eager = Segment::deserialize(lazy.serialize());
+  Segment eager = Segment::deserialize(lazy.serialize(), keySpace);
   EXPECT_EQ(lazy.serializeCompressed(keySpace),
             eager.serializeCompressed(keySpace));
   EXPECT_TRUE(lazy.packed()) << "compressed encode must not materialize";
@@ -563,7 +606,8 @@ TEST(SegmentStream, RejectsStructuralCorruption) {
   const nd::Coord keySpace{4, 4};
   Segment seg(0, 0,
               {{nd::Coord{1, 2}, Value::scalar(2.0), 1},
-               {nd::Coord{3, 0}, Value::list({1.0}), 2}});
+               {nd::Coord{3, 0}, Value::list({1.0}), 2}},
+              keySpace);
   auto drain = [&](std::span<const std::byte> bytes, bool compressed) {
     SegmentStream stream(memoryStorageOf(bytes), 64, compressed, keySpace);
     while (!stream.exhausted()) stream.advance();
@@ -599,7 +643,7 @@ TEST(SegmentStream, RejectsStructuralCorruption) {
 
 TEST(SegmentStream, CompressedRejectsKeySpaceMismatch) {
   const nd::Coord keySpace{4, 4};
-  Segment seg(0, 0, {{nd::Coord{1, 2}, Value::scalar(2.0), 1}});
+  Segment seg(0, 0, {{nd::Coord{1, 2}, Value::scalar(2.0), 1}}, keySpace);
   auto bytes = seg.serializeCompressed(keySpace);
   EXPECT_THROW(
       {
@@ -608,8 +652,10 @@ TEST(SegmentStream, CompressedRejectsKeySpaceMismatch) {
         while (!stream.exhausted()) stream.advance();
       },
       std::runtime_error);
-  // An empty caller key space defers to the embedded one.
-  SegmentStream ok(memoryStorageOf(bytes), 64, true, nd::Coord());
+  // The caller's key space is required and must match the embedded one.
+  EXPECT_THROW(SegmentStream(memoryStorageOf(bytes), 64, true, nd::Coord()),
+               std::invalid_argument);
+  SegmentStream ok(memoryStorageOf(bytes), 64, true, keySpace);
   EXPECT_EQ(ok.take().key, (nd::Coord{1, 2}));
 }
 

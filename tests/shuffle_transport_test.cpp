@@ -68,6 +68,9 @@ std::string tempDir(const std::string& name) {
 
 // ---- wire framing: property and fuzz coverage ----
 
+/// Key space of sampleSegment() keys (up to 70 records).
+const nd::Coord kSampleSpace{7, 10};
+
 mr::Segment sampleSegment(std::uint32_t map, std::uint32_t kb,
                           std::size_t records) {
   std::vector<mr::KeyValue> kvs;
@@ -77,7 +80,7 @@ mr::Segment sampleSegment(std::uint32_t map, std::uint32_t kb,
                    mr::Value::scalar(static_cast<double>(i) * 0.5),
                    i % 3 + 1});
   }
-  mr::Segment seg(map, kb, std::move(kvs));
+  mr::Segment seg(map, kb, std::move(kvs), kSampleSpace);
   seg.sortByKey();
   return seg;
 }

@@ -227,7 +227,8 @@ void expectSegmentBytesMatchFrozenOracle(
                    [](const mr::KeyValue& a, const mr::KeyValue& b) {
                      return a.key < b.key;
                    });
-  mr::Segment oracle(3, 1, std::move(eager));
+  mr::Segment oracle(3, 1, std::move(eager), keySpace);
+  oracle.records();  // encode the oracle from its KeyValue view
 
   mr::Segment fast(3, 1, std::move(packed), std::move(lists), keySpace);
   fast.sortByKey();
