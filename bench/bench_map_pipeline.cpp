@@ -24,6 +24,12 @@
 // identical packed buffers. Its results are written to a separate
 // BENCH_sort_micro.json (see main) so the sort trajectory is trackable
 // independently of the whole-pipeline numbers.
+//
+// BM_MedianSelect (informational, written to BENCH_sort_micro.json too)
+// isolates the reduce-side median: the radix-select kernel vs a frozen
+// std::nth_element copy, each gathering two fetched 360-value lists per
+// cell as Query 1's reduce does. Query 1's end-to-end benchmark is the
+// evidence for the kernel; this arm only shows the kernel's share.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -311,12 +317,68 @@ BENCHMARK_CAPTURE(BM_SortMicro, radix, true)
 BENCHMARK_CAPTURE(BM_SortMicro, comparison, false)
     ->Arg(1 << 16)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 
+// ---- median micro arm: radix-select kernel vs frozen nth_element ----
+
+/// The pre-kernel finalizeCell median, frozen: copy, nth_element.
+double frozenNthElementMedian(std::vector<double>& list) {
+  const std::size_t mid = (list.size() - 1) / 2;
+  std::nth_element(list.begin(),
+                   list.begin() + static_cast<std::ptrdiff_t>(mid),
+                   list.end());
+  return list[mid];
+}
+
+void BM_MedianSelect(benchmark::State& state, bool radix) {
+  // 256 cells of two 360-value lists, windspeed-like values (a few
+  // binary exponents, as in Query 1's cells).
+  constexpr std::size_t kCells = 256;
+  constexpr std::size_t kHalf = 360;
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> gust(0.0, 5.0);
+  std::vector<std::vector<double>> lists(2 * kCells);
+  for (std::size_t c = 0; c < kCells; ++c) {
+    const double base = 3.5 + static_cast<double>(c % 25) * 0.15;
+    for (std::size_t s = 0; s < 2; ++s) {
+      for (std::size_t i = 0; i < kHalf; ++i) {
+        lists[2 * c + s].push_back(base + gust(rng));
+      }
+    }
+  }
+  std::vector<double> values;
+  std::vector<std::uint64_t> keys(2 * kHalf);
+  for (auto _ : state) {
+    for (std::size_t c = 0; c < kCells; ++c) {
+      const std::vector<double>& a = lists[2 * c];
+      const std::vector<double>& b = lists[2 * c + 1];
+      double median;
+      if (radix) {
+        auto out = std::transform(a.begin(), a.end(), keys.begin(),
+                                  sh::orderedKey);
+        std::transform(b.begin(), b.end(), out, sh::orderedKey);
+        median = sh::lowerMedian(keys);
+      } else {
+        values.assign(a.begin(), a.end());
+        values.insert(values.end(), b.begin(), b.end());
+        median = frozenNthElementMedian(values);
+      }
+      benchmark::DoNotOptimize(median);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kCells * 2 * kHalf));
+}
+
+BENCHMARK_CAPTURE(BM_MedianSelect, radix, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MedianSelect, nth_element, false)
+    ->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {
   // Same contract as bench::runBenchmarksWithJson, but split across two
   // JSON files: the pipeline arms keep BENCH_map_pipeline.json and the
-  // sort micro-arm gets its own BENCH_sort_micro.json.
+  // sort and median micro-arms get BENCH_sort_micro.json.
   static std::string quickFlag = "--benchmark_min_time=0.01";
   std::vector<char*> args(argv, argv + argc);
   for (char*& a : args) {
@@ -333,7 +395,8 @@ int main(int argc, char** argv) {
   {
     sidr::bench::BenchJson json("sort_micro");
     sidr::bench::JsonCapturingReporter reporter(json);
-    ::benchmark::RunSpecifiedBenchmarks(&reporter, "BM_SortMicro.*");
+    ::benchmark::RunSpecifiedBenchmarks(&reporter,
+                                        "BM_SortMicro.*|BM_MedianSelect.*");
     json.write();
   }
   // Per-phase breakdown of ONE traced execution of each workload,

@@ -100,6 +100,13 @@ done
 #                                    fuzz (absurd dimension lengths
 #                                    must not overflow a size)
 #   shuffle_transport_test           framed-decode fuzzing
+#   operators_test                   the median kernel's bit casts,
+#                                    shifts and histogram indexing over
+#                                    NaNs, infinities and subnormals
+#   dense_mapper_test                dense cell-array offsets under row
+#                                    runs cut from the region cursor
+#   query_parser_test                number and coordinate scanning of
+#                                    fuzzed query text
 UBSAN_SUITES=(
   segment_test
   linear_fastpath_test
@@ -107,6 +114,9 @@ UBSAN_SUITES=(
   trace_invariants_test
   scifile_test
   shuffle_transport_test
+  operators_test
+  dense_mapper_test
+  query_parser_test
 )
 cmake --preset ubsan
 cmake --build --preset ubsan -j"$(nproc)" --target "${UBSAN_SUITES[@]}"

@@ -23,14 +23,16 @@ class RecordReader {
   /// Advances to the next record; returns false at end of split.
   virtual bool next(nd::Coord& key, double& value) = 0;
 
-  /// Batch read: fills the parallel `keys`/`values` arrays with up to
-  /// min(keys.size(), values.size()) records and returns how many were
-  /// produced; 0 means end of split. A short (non-zero) return does NOT
-  /// signal the end — readers may stop early at internal boundaries
-  /// (e.g. row ends), so callers must loop until 0. Region-backed
-  /// readers override this with a row-run inner loop that pays the
-  /// cursor-carry and virtual-dispatch cost once per run instead of
-  /// once per record; this default delegates to next().
+  /// Batch read: fills `values[0..n)` with the region's next n elements
+  /// in row-major order, n <= min(keys.size(), values.size()), and
+  /// returns n; 0 means end of split. Only `keys[0]` is written — the
+  /// coordinate of `values[0]` — and `keys[1..n)` are unspecified: the
+  /// caller owns the region and walks its rows with a RegionCursor, so
+  /// a per-value key would only be written to be read back. A short
+  /// (non-zero) return does NOT signal the end, so callers loop until
+  /// 0. Region-backed readers override this with a row-run copy loop;
+  /// this default delegates to next(), which writes every key and so
+  /// satisfies the contract too.
   virtual std::size_t nextBatch(std::span<nd::Coord> keys,
                                 std::span<double> values) {
     const std::size_t cap = std::min(keys.size(), values.size());
@@ -65,7 +67,8 @@ class Mapper {
   virtual void map(const nd::Coord& key, double value, MapContext& ctx) = 0;
 
   /// Row-run entry point: `values[i]` is the value at `start` with the
-  /// last coordinate advanced by i (rank-0 keys come as runs of one).
+  /// last coordinate advanced by i; a run never crosses a row of the
+  /// split's region (rank-0 keys come as runs of one).
   /// Mappers that can work per run — translate the key once, not per
   /// record — override this; the default feeds map() record by record.
   virtual void mapRun(const nd::Coord& start, std::span<const double> values,

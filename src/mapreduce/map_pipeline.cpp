@@ -11,24 +11,13 @@ namespace sidr::mr {
 
 namespace {
 
-/// Length of the row run starting at keys[i] within keys[i, n): records
-/// that share every coordinate but the last, whose last coordinate
-/// rises by exactly one per record. Rank-0 keys form runs of one.
-std::size_t rowRunLength(const std::vector<nd::Coord>& keys, std::size_t i,
-                         std::size_t n) {
-  const nd::Coord& start = keys[i];
-  if (start.rank() == 0) return 1;
-  const std::size_t last = start.rank() - 1;
-  std::size_t j = i + 1;
-  for (; j < n; ++j) {
-    const nd::Coord& k = keys[j];
-    if (k.rank() != start.rank() ||
-        k[last] != start[last] + static_cast<nd::Index>(j - i) ||
-        !std::equal(start.begin(), start.begin() + last, k.begin())) {
-      break;
-    }
-  }
-  return j - i;
+/// The typed error for a reader that broke the nextBatch contract.
+[[noreturn]] void throwStrayReader(std::uint32_t mapTask,
+                                   const nd::Region& region,
+                                   const std::string& what) {
+  throw std::logic_error("runMapPipeline: map task " +
+                         std::to_string(mapTask) + ", region " +
+                         region.toString() + ": reader " + what);
 }
 
 }  // namespace
@@ -147,6 +136,10 @@ std::vector<Segment> runMapPipeline(const InputSplit& split,
   mapper.beginSplit(split.regions);
   for (const nd::Region& region : split.regions) {
     auto reader = readerFactory(region);
+    // The pipeline owns the region, so it knows every row run: the
+    // cursor cuts each batch into runs, and the reader's keys[0] is only
+    // checked against it (RecordReader::nextBatch).
+    nd::RegionCursor cursor(region);
     while (true) {
       std::size_t n;
       {
@@ -155,11 +148,36 @@ std::vector<Segment> runMapPipeline(const InputSplit& split,
         n = reader->nextBatch({keys.data(), kBatch}, {values.data(), kBatch});
         readSpan.setRecords(n);
       }
-      if (n == 0) break;
+      if (n == 0) {
+        if (cursor.valid()) {
+          throwStrayReader(mapTask, region, "ended before the region did");
+        }
+        break;
+      }
+      if (!cursor.valid() || keys[0] != cursor.coord()) {
+        throwStrayReader(mapTask, region,
+                         "batch starts at " + keys[0].toString() +
+                             ", expected " +
+                             (cursor.valid() ? cursor.coord().toString()
+                                             : std::string("the end")));
+      }
       obs::SpanScope mapSpan(obs::Phase::kMap, obs::TaskSide::kMap, mapTask);
       for (std::size_t i = 0; i < n;) {
-        const std::size_t len = rowRunLength(keys, i, n);
-        mapper.mapRun(keys[i], {values.data() + i, len}, ctx);
+        if (!cursor.valid()) {
+          throwStrayReader(mapTask, region, "returned values past the region");
+        }
+        // A rank-0 region is one scalar record: a run of one.
+        const std::size_t len =
+            region.rank() == 0
+                ? 1
+                : std::min(n - i,
+                           static_cast<std::size_t>(cursor.rowRemaining()));
+        mapper.mapRun(cursor.coord(), {values.data() + i, len}, ctx);
+        if (region.rank() == 0) {
+          cursor.next();
+        } else {
+          cursor.advanceInRow(static_cast<nd::Index>(len));
+        }
         i += len;
       }
       mapSpan.setRecords(n);

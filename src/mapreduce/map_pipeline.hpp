@@ -90,6 +90,14 @@ class BufferingMapContext final : public MapContext {
 /// non-null, combined) segment per keyblock — exactly the segments the
 /// engine publishes or spills. Keys are linearized in `keySpace` as in
 /// BufferingMapContext.
+///
+/// Row runs are cut from the region, not from the reader's keys: one
+/// RegionCursor per region hands the mapper one mapRun per row piece
+/// of each batch. A reader that breaks the RecordReader::nextBatch
+/// contract — a batch whose keys[0] is not the cursor's coordinate,
+/// more values than the region holds, or an end of input before the
+/// region's end — fails the task with a std::logic_error naming the
+/// map task and the region.
 std::vector<Segment> runMapPipeline(const InputSplit& split,
                                     std::uint32_t mapTask,
                                     const RecordReaderFactory& readerFactory,

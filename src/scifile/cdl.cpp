@@ -1,6 +1,7 @@
 #include "scifile/cdl.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -85,8 +86,14 @@ Metadata parseCdl(const std::string& text) {
       std::string name = strip(s.substr(0, eq));
       std::string len = strip(s.substr(eq + 1));
       if (name.empty() || len.empty()) fail(line, "empty dimension entry");
+      std::int64_t length = 0;
+      const auto [end, ec] =
+          std::from_chars(len.data(), len.data() + len.size(), length);
+      if (ec != std::errc() || end != len.data() + len.size()) {
+        fail(line, "dimension length is not a 64-bit integer");
+      }
       try {
-        meta.addDimension(name, std::stoll(len));
+        meta.addDimension(name, length);
       } catch (const std::invalid_argument& e) {
         fail(line, e.what());
       }
@@ -106,9 +113,10 @@ Metadata parseCdl(const std::string& text) {
       std::vector<std::string> dims =
           splitList(s.substr(open + 1, close - open - 1), ',');
       if (dims.size() == 1 && dims[0].empty()) dims.clear();
+      const DataType type = parseType(line, typeName);
       try {
-        meta.addVariable(varName, parseType(line, typeName), dims);
-      } catch (const std::invalid_argument& e) {
+        meta.addVariable(varName, type, dims);
+      } catch (const std::logic_error& e) {  // bad name, rank past kMaxRank
         fail(line, e.what());
       }
     } else {

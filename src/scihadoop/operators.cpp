@@ -1,6 +1,8 @@
 #include "scihadoop/operators.hpp"
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <stdexcept>
 
 namespace sidr::sh {
@@ -92,15 +94,9 @@ mr::Value finalizeCell(const StructuralQuery& query, const mr::Partial& p,
     case OperatorKind::kRange:
       return mr::Value::scalar(p.count > 0 ? p.max - p.min : 0.0);
     case OperatorKind::kMedian: {
-      if (list.empty()) {
-        throw std::logic_error("median over empty cell");
-      }
-      // Lower median: element at index (n-1)/2 in sorted order.
-      std::size_t mid = (list.size() - 1) / 2;
-      std::nth_element(list.begin(),
-                       list.begin() + static_cast<std::ptrdiff_t>(mid),
-                       list.end());
-      return mr::Value::scalar(list[mid]);
+      std::vector<std::uint64_t> keys(list.size());
+      std::transform(list.begin(), list.end(), keys.begin(), orderedKey);
+      return mr::Value::scalar(lowerMedian(keys));
     }
     case OperatorKind::kFilter:
     case OperatorKind::kSort: {
@@ -114,9 +110,73 @@ mr::Value finalizeCell(const StructuralQuery& query, const mr::Partial& p,
   throw std::invalid_argument("finalizeCell: bad OperatorKind");
 }
 
+std::uint64_t selectKey(std::span<std::uint64_t> keys, std::size_t k) {
+  if (k >= keys.size()) {
+    throw std::out_of_range("selectKey: rank past the end");
+  }
+  std::uint64_t* a = keys.data();
+  std::size_t n = keys.size();
+  // Branch-free min/max: std::minmax_element branches on every compare,
+  // which mispredicts on an unsorted cell.
+  std::uint64_t lo = a[0];
+  std::uint64_t hi = a[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    lo = a[i] < lo ? a[i] : lo;
+    hi = a[i] > hi ? a[i] : hi;
+  }
+  while (lo != hi) {
+    const auto width = static_cast<int>(std::bit_width(hi - lo));
+    const int shift = width > 8 ? width - 8 : 0;
+    std::array<std::size_t, 256> hist{};
+    for (std::size_t i = 0; i < n; ++i) ++hist[(a[i] - lo) >> shift];
+    std::uint64_t bucket = 0;
+    while (k >= hist[bucket]) k -= hist[bucket++];
+    // Compact the bucket's keys to the front, branch-free, and take
+    // their range for the next round.
+    const std::uint64_t base = lo;
+    std::size_t m = 0;
+    lo = std::numeric_limits<std::uint64_t>::max();
+    hi = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t x = a[i];
+      const bool keep = ((x - base) >> shift) == bucket;
+      a[m] = x;
+      m += keep ? 1 : 0;
+      lo = keep && x < lo ? x : lo;
+      hi = keep && x > hi ? x : hi;
+    }
+    n = m;
+  }
+  return lo;
+}
+
+double lowerMedian(std::span<std::uint64_t> keys) {
+  if (keys.empty()) {
+    throw std::logic_error("median over empty cell");
+  }
+  return fromOrderedKey(selectKey(keys, (keys.size() - 1) / 2));
+}
+
 void StructuralReducer::reduce(const nd::Coord& key,
                                std::span<const mr::Value* const> values,
                                mr::ReduceContext& ctx) {
+  if (query_.op == OperatorKind::kMedian) {
+    // Only lists carry median values (the mapper ships the cell's whole
+    // list); they are keyed on the way in, with no double copy.
+    std::size_t n = 0;
+    for (const mr::Value* v : values) {
+      if (v->kind() == mr::ValueKind::kList) n += v->asList().size();
+    }
+    if (keys_.size() < n) keys_.resize(n);
+    std::uint64_t* out = keys_.data();
+    for (const mr::Value* v : values) {
+      if (v->kind() != mr::ValueKind::kList) continue;
+      const auto& xs = v->asList();
+      out = std::transform(xs.begin(), xs.end(), out, orderedKey);
+    }
+    ctx.emit(key, mr::Value::scalar(lowerMedian({keys_.data(), n})));
+    return;
+  }
   mr::Partial merged;
   std::vector<double> list;
   std::size_t listed = 0;

@@ -13,6 +13,11 @@
 // (section 3.2.1, method 2).
 #pragma once
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "mapreduce/interfaces.hpp"
 #include "scihadoop/dense_cells.hpp"
 #include "scihadoop/extraction.hpp"
@@ -45,6 +50,9 @@ class StructuralMapper final : public mr::Mapper {
   DenseCells<CellState> cells_;
 };
 
+/// Merges a cell's fetched values and finalizes them. A median cell's
+/// lists are gathered straight into order-preserving keys and selected
+/// by selectKey; every other operator goes through finalizeCell.
 class StructuralReducer final : public mr::Reducer {
  public:
   explicit StructuralReducer(const StructuralQuery& query) : query_(query) {}
@@ -54,12 +62,49 @@ class StructuralReducer final : public mr::Reducer {
 
  private:
   StructuralQuery query_;
+  /// Median key buffer, grown to the largest cell and reused: one
+  /// reducer object serves one reduce attempt on one thread.
+  std::vector<std::uint64_t> keys_;
 };
 
 /// Finalizes a merged partial / value list into the operator's output
-/// value (shared by the reducer and the serial oracle).
+/// value (shared by the reducer and the serial oracle). The median is
+/// the lower median under IEEE-754 totalOrder (see lowerMedian).
 mr::Value finalizeCell(const StructuralQuery& query, const mr::Partial& p,
                        std::vector<double>&& list);
+
+// --- median kernel (DESIGN.md §20) ---
+
+/// Order-preserving u64 image of a double's bit pattern: flip every bit
+/// of a negative, set the sign bit of a non-negative. a precedes b in
+/// IEEE-754 totalOrder exactly when orderedKey(a) < orderedKey(b): -0.0
+/// comes before +0.0, negative NaNs below -inf, positive NaNs above
+/// +inf.
+constexpr std::uint64_t orderedKey(double x) noexcept {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
+/// Inverse of orderedKey: the double, bit for bit.
+constexpr double fromOrderedKey(std::uint64_t key) noexcept {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  return std::bit_cast<double>((key & kSign) != 0 ? key & ~kSign : ~key);
+}
+
+/// Returns the key of rank k (0-based, ascending) and leaves `keys` in
+/// an unspecified order. Range-normalised MSB radix select: one min/max
+/// pass, then per round a histogram of (key - min) >> shift over at
+/// most 256 buckets, keeping only the bucket that holds rank k (and its
+/// min/max for the next round). Each round narrows the range by 8 bits,
+/// so there are at most 8. Throws std::out_of_range when k >= size.
+std::uint64_t selectKey(std::span<std::uint64_t> keys, std::size_t k);
+
+/// Lower median — the element of rank (n-1)/2 under IEEE-754
+/// totalOrder — of the values whose orderedKey images are `keys`.
+/// The result is one of the inputs, bit for bit. Reorders `keys`;
+/// throws std::logic_error when it is empty.
+double lowerMedian(std::span<std::uint64_t> keys);
 
 /// Factories plugging into mr::JobSpec.
 mr::MapperFactory makeStructuralMapperFactory(

@@ -1,6 +1,8 @@
 #include "scihadoop/query_parser.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -23,9 +25,10 @@ class Parser {
       std::vector<nd::Index> lo;
       std::vector<nd::Index> hi;
       while (true) {
-        lo.push_back(static_cast<nd::Index>(parseNumber()));
+        if (lo.size() == nd::kMaxRank) fail("subset rank exceeds the maximum");
+        lo.push_back(parseInteger());
         expect(':');
-        hi.push_back(static_cast<nd::Index>(parseNumber()));
+        hi.push_back(parseInteger());
         if (peek() == ',') {
           ++pos_;
           continue;
@@ -37,6 +40,8 @@ class Parser {
       nd::Coord shape = nd::Coord::zeros(lo.size());
       for (std::size_t d = 0; d < lo.size(); ++d) {
         if (hi[d] <= lo[d]) fail("empty subset range");
+        constexpr nd::Index kMax = std::numeric_limits<nd::Index>::max();
+        if (lo[d] < 0 && hi[d] > kMax + lo[d]) fail("subset range overflows");
         shape[d] = hi[d] - lo[d];
       }
       q.subset = nd::Region(corner, shape);
@@ -72,7 +77,7 @@ class Parser {
       } else if (key == "threshold") {
         q.filterThreshold = parseNumber();
       } else if (key == "skew") {
-        q.skewBound = static_cast<nd::Index>(parseNumber());
+        q.skewBound = parseInteger();
       } else {
         fail("unknown parameter '" + key + "'");
       }
@@ -138,7 +143,35 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) fail("expected number");
-    return std::stod(text_.substr(start, pos_ - start));
+    return convert<double>(start, "number");
+  }
+
+  /// An optionally signed decimal integer that fits nd::Index.
+  nd::Index parseInteger() {
+    skipSpace();
+    std::size_t start = pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
+      ++pos_;
+    }
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    return convert<nd::Index>(start, "integer");
+  }
+
+  /// Converts the scanned token text_[start, pos_) whole, or fails:
+  /// an out-of-range value is malformed input, not another error type.
+  template <class T>
+  T convert(std::size_t start, const std::string& what) {
+    // from_chars takes no leading '+'.
+    const char* first = text_.data() + start + (text_[start] == '+' ? 1 : 0);
+    const char* last = text_.data() + pos_;
+    T v{};
+    const auto [end, ec] = std::from_chars(first, last, v);
+    if (ec == std::errc::result_out_of_range) fail(what + " out of range");
+    if (ec != std::errc() || end != last) fail("malformed " + what);
+    return v;
   }
 
   nd::Coord parseCoord() {
@@ -148,7 +181,13 @@ class Parser {
     while (pos_ < text_.size() && text_[pos_] != '}') ++pos_;
     if (pos_ == text_.size()) fail("unterminated coordinate");
     ++pos_;  // consume '}'
-    return nd::Coord::parse(text_.substr(start, pos_ - start));
+    try {
+      return nd::Coord::parse(text_.substr(start, pos_ - start));
+    } catch (const std::logic_error& e) {
+      // Coord::parse's own errors (bad syntax, rank past kMaxRank, an
+      // extent out of range) become this parser's one error type.
+      fail(e.what());
+    }
   }
 
   OperatorKind parseOperator() {

@@ -21,39 +21,26 @@ bool DatasetRecordReader::next(nd::Coord& key, double& value) {
   return true;
 }
 
-namespace {
-
-/// Writes `run` keys starting at `at`, varying only the innermost
-/// coordinate — the shared inner loop of both readers' nextBatch.
-inline void fillRowKeys(std::span<nd::Coord> keys, std::size_t n,
-                        const nd::Coord& at, std::size_t run) {
-  const std::size_t last = at.rank() - 1;
-  for (std::size_t i = 0; i < run; ++i) {
-    nd::Coord& k = keys[n + i];
-    k = at;
-    k[last] += static_cast<nd::Index>(i);
-  }
-}
-
-}  // namespace
-
 std::size_t DatasetRecordReader::nextBatch(std::span<nd::Coord> keys,
                                            std::span<double> values) {
   const std::size_t cap = std::min(keys.size(), values.size());
   if (region_.rank() == 0) {  // rank-0 region: single scalar record
     return RecordReader::nextBatch(keys, values);
   }
+  if (cap == 0 || !cursor_.valid()) return 0;
+  keys[0] = cursor_.coord();
+  // The values are preloaded in row-major order: the batch is one copy,
+  // and the cursor only keeps next() and keys[0] in step, a row at a time.
   std::size_t n = 0;
   while (n < cap && cursor_.valid()) {
     const std::size_t run = std::min(
         cap - n, static_cast<std::size_t>(cursor_.rowRemaining()));
-    fillRowKeys(keys, n, cursor_.coord(), run);
-    std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(pos_), run,
-                values.begin() + static_cast<std::ptrdiff_t>(n));
-    pos_ += run;
-    n += run;
     cursor_.advanceInRow(static_cast<nd::Index>(run));
+    n += run;
   }
+  std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(pos_), n,
+              values.begin());
+  pos_ += n;
   return n;
 }
 
@@ -63,12 +50,17 @@ std::size_t SyntheticRecordReader::nextBatch(std::span<nd::Coord> keys,
   if (!cursor_.valid() || cursor_.coord().rank() == 0) {
     return RecordReader::nextBatch(keys, values);
   }
+  if (cap == 0) return 0;
+  keys[0] = cursor_.coord();
   std::size_t n = 0;
   while (n < cap && cursor_.valid()) {
     const std::size_t run = std::min(
         cap - n, static_cast<std::size_t>(cursor_.rowRemaining()));
-    fillRowKeys(keys, n, cursor_.coord(), run);
-    for (std::size_t i = 0; i < run; ++i) values[n + i] = fn_(keys[n + i]);
+    nd::Coord at = cursor_.coord();
+    const std::size_t last = at.rank() - 1;
+    for (std::size_t i = 0; i < run; ++i, ++at[last]) {
+      values[n + i] = fn_(at);
+    }
     n += run;
     cursor_.advanceInRow(static_cast<nd::Index>(run));
   }

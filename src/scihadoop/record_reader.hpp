@@ -25,9 +25,8 @@ class DatasetRecordReader final : public mr::RecordReader {
 
   bool next(nd::Coord& key, double& value) override;
 
-  /// Row-run batch read: copies whole row tails out of the preloaded
-  /// value buffer and synthesizes their keys by bumping the innermost
-  /// coordinate, paying cursor carry once per run instead of per cell.
+  /// Batch read under the RecordReader::nextBatch contract: copies up
+  /// to a batch of the preloaded values and writes only keys[0].
   std::size_t nextBatch(std::span<nd::Coord> keys,
                         std::span<double> values) override;
 
@@ -57,8 +56,9 @@ class SyntheticRecordReader final : public mr::RecordReader {
     return true;
   }
 
-  /// Row-run batch read (see DatasetRecordReader::nextBatch); values
-  /// still come from one fn_ call per key.
+  /// Batch read under the RecordReader::nextBatch contract: one fn_
+  /// call per value, walking whole rows with a local coordinate; writes
+  /// only keys[0].
   std::size_t nextBatch(std::span<nd::Coord> keys,
                         std::span<double> values) override;
 

@@ -238,7 +238,9 @@ TEST(MapPipelineParity, BatchedReadersMatchPerRecord) {
       }
     }
     EXPECT_EQ(refKeys.size(), static_cast<std::size_t>(region.volume()));
-    // Batch sizes around and off row boundaries, including size 1.
+    // Batch sizes around and off row boundaries, including size 1. The
+    // nextBatch contract writes only keys[0] (the coordinate of
+    // values[0]); every value must match the next() stream.
     for (std::size_t batch : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                               std::size_t{7}, std::size_t{64}}) {
       SCOPED_TRACE("batch " + std::to_string(batch));
@@ -250,8 +252,8 @@ TEST(MapPipelineParity, BatchedReadersMatchPerRecord) {
       while ((n = reader->nextBatch({keys.data(), batch},
                                     {values.data(), batch})) > 0) {
         ASSERT_LE(seen + n, refKeys.size());
+        EXPECT_EQ(keys[0], refKeys[seen]);
         for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(keys[i], refKeys[seen + i]);
           EXPECT_EQ(values[i], refValues[seen + i]);
         }
         seen += n;
@@ -259,6 +261,134 @@ TEST(MapPipelineParity, BatchedReadersMatchPerRecord) {
       EXPECT_EQ(seen, refKeys.size());
     }
   }
+}
+
+/// Delegates to a real reader, but breaks the nextBatch contract in one
+/// way from its `atBatch`-th batch on (0-based); kExtraValue passes the
+/// real batches through and then returns one value too many.
+class StrayReader final : public mr::RecordReader {
+ public:
+  enum class Fault { kWrongFirstKey, kExtraValue, kEndsEarly };
+
+  StrayReader(std::unique_ptr<mr::RecordReader> inner, Fault fault,
+              std::size_t atBatch)
+      : inner_(std::move(inner)), fault_(fault), atBatch_(atBatch) {}
+
+  bool next(nd::Coord& key, double& value) override {
+    return inner_->next(key, value);
+  }
+
+  std::size_t nextBatch(std::span<nd::Coord> keys,
+                        std::span<double> values) override {
+    if (batches_++ < atBatch_) return inner_->nextBatch(keys, values);
+    switch (fault_) {
+      case Fault::kWrongFirstKey: {
+        const std::size_t n = inner_->nextBatch(keys, values);
+        if (n > 0) ++keys[0][0];
+        return n;
+      }
+      case Fault::kExtraValue: {
+        const std::size_t n = inner_->nextBatch(keys, values);
+        if (n > 0) return n;
+        values[0] = 0.0;  // one value past the region's end
+        return 1;
+      }
+      case Fault::kEndsEarly:
+        return 0;
+    }
+    return 0;
+  }
+
+ private:
+  std::unique_ptr<mr::RecordReader> inner_;
+  Fault fault_;
+  std::size_t atBatch_;
+  std::size_t batches_ = 0;
+};
+
+TEST(MapPipelineParity, StrayReaderFailsTheJobTyped) {
+  // The pipeline cuts row runs from the region it handed the reader, so
+  // a reader whose batches do not follow that region would put values
+  // under the wrong keys. It must fail the job with a logic_error naming
+  // the map task and region instead — never produce output.
+  const nd::Coord input{16, 600};  // > one 512-value batch per region
+  sh::StructuralQuery q;
+  q.op = OperatorKind::kMedian;
+  q.extractionShape = nd::Coord{4, 5};
+  QueryPlanner planner(q, input);
+  PlanOptions opts;
+  opts.system = SystemMode::kSidr;
+  opts.numReducers = 4;
+  opts.desiredSplitCount = 4;
+  for (auto fault : {StrayReader::Fault::kWrongFirstKey,
+                     StrayReader::Fault::kExtraValue,
+                     StrayReader::Fault::kEndsEarly}) {
+    SCOPED_TRACE("fault " + std::to_string(static_cast<int>(fault)));
+    QueryPlan plan = planner.plan(cellValue, opts);
+    ASSERT_GE(plan.spec.splits.size(), 2u);
+    const std::uint32_t badMap = 1;
+    const nd::Region badRegion = plan.spec.splits[badMap].regions.front();
+    // The wrong key and the early end hit the region's second batch,
+    // after one good batch; the extra value follows its last batch.
+    const std::size_t atBatch =
+        fault == StrayReader::Fault::kExtraValue ? 0 : 1;
+    auto inner = plan.spec.readerFactory;
+    plan.spec.readerFactory =
+        [inner, badRegion, fault, atBatch](const nd::Region& region)
+        -> std::unique_ptr<mr::RecordReader> {
+      if (region != badRegion) return inner(region);
+      return std::make_unique<StrayReader>(inner(region), fault, atBatch);
+    };
+    try {
+      mr::Engine(std::move(plan.spec)).run();
+      FAIL() << "a stray reader must fail the job";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("map task " + std::to_string(badMap)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(badRegion.toString()), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(MapPipelineParity, RankZeroSplitIsOneRecord) {
+  // A rank-0 region is one scalar record: the pipeline hands the mapper
+  // one run of one value, and its segments match the frozen per-record
+  // pipeline's.
+  class ScalarMapper final : public mr::Mapper {
+   public:
+    void map(const nd::Coord& key, double v, mr::MapContext& ctx) override {
+      EXPECT_EQ(key.rank(), 0u);
+      ctx.emit(nd::Coord{1}, mr::Value::scalar(v), 1);
+    }
+  };
+  const nd::Coord keySpace{3};
+  mr::ModuloPartitioner part(keySpace);
+  auto factory = sh::makeSyntheticReaderFactory(
+      [](const nd::Coord& c) { return 4.5 + static_cast<double>(c.rank()); });
+  auto split = mr::InputSplit::single(0, nd::Region(nd::Coord{}, nd::Coord{}));
+  ScalarMapper fastMapper;
+  auto fast = mr::runMapPipeline(split, 0, factory, fastMapper, part, 2,
+                                 nullptr, keySpace);
+  ScalarMapper slowMapper;
+  auto oracle = testsupport::frozenLexMapPipeline(
+      split, 0, factory, slowMapper, part, 2, nullptr, keySpace);
+  expectSegmentsBitIdentical(fast, oracle);
+  std::size_t records = 0;
+  for (const mr::Segment& seg : fast) records += seg.header().numRecords;
+  EXPECT_EQ(records, 1u);
+
+  // A second value from a rank-0 reader is past the region's end.
+  auto twice = [factory](const nd::Region& region)
+      -> std::unique_ptr<mr::RecordReader> {
+    return std::make_unique<StrayReader>(
+        factory(region), StrayReader::Fault::kExtraValue, 1);
+  };
+  ScalarMapper strayMapper;
+  EXPECT_THROW(mr::runMapPipeline(split, 0, twice, strayMapper, part, 2,
+                                  nullptr, keySpace),
+               std::logic_error);
 }
 
 // ---- packed Segment representation ----

@@ -1,6 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "scihadoop/operators.hpp"
+#include "support/frozen_median.hpp"
 
 namespace sidr::sh {
 namespace {
@@ -181,6 +191,151 @@ TEST(SerialOracle, MatchesHandComputedMeans) {
   EXPECT_EQ(out[3].key, (nd::Coord{1, 1}));
   EXPECT_DOUBLE_EQ(out[3].value.asScalar(), 12.5);
   for (const auto& kv : out) EXPECT_EQ(kv.represents, 4u);
+}
+
+// ---- radix-select median kernel (DESIGN.md section 20) ----
+
+/// Captures the one value a reducer emits.
+class LastValueContext final : public mr::ReduceContext {
+ public:
+  void emit(const nd::Coord&, mr::Value v) override { value = std::move(v); }
+  mr::Value value;
+};
+
+double kernelMedian(const std::vector<double>& list) {
+  std::vector<std::uint64_t> keys(list.size());
+  std::transform(list.begin(), list.end(), keys.begin(), orderedKey);
+  return lowerMedian(keys);
+}
+
+bool containsBits(const std::vector<double>& list, double x) {
+  return std::any_of(list.begin(), list.end(), [x](double v) {
+    return std::bit_cast<std::uint64_t>(v) == std::bit_cast<std::uint64_t>(x);
+  });
+}
+
+TEST(MedianKernel, OrderedKeyFollowsTotalOrderAndRoundTrips) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double tiny = std::numeric_limits<double>::denorm_min();
+  constexpr double big = std::numeric_limits<double>::max();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Ascending IEEE-754 totalOrder.
+  const std::vector<double> ascending{
+      -nan, -inf, -big, -1.5, -tiny, -0.0, 0.0, tiny, 1.5, big, inf, nan};
+  ASSERT_TRUE(std::signbit(ascending.front()));
+  for (std::size_t i = 0; i < ascending.size(); ++i) {
+    const std::uint64_t k = orderedKey(ascending[i]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fromOrderedKey(k)),
+              std::bit_cast<std::uint64_t>(ascending[i]));
+    if (i > 0) {
+      EXPECT_LT(orderedKey(ascending[i - 1]), k) << "index " << i;
+    }
+  }
+}
+
+TEST(MedianKernel, SelectKeyReturnsEveryRank) {
+  std::mt19937_64 rng(5);
+  std::vector<std::uint64_t> base(1000);
+  for (auto& k : base) k = rng() >> (rng() % 64);  // mixed magnitudes
+  base[3] = base[7] = base[11];                    // ties
+  std::vector<std::uint64_t> sorted = base;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t k = 0; k < base.size(); k += 37) {
+    std::vector<std::uint64_t> keys = base;
+    EXPECT_EQ(selectKey(keys, k), sorted[k]) << "rank " << k;
+  }
+  std::vector<std::uint64_t> keys = base;
+  EXPECT_EQ(selectKey(keys, base.size() - 1), sorted.back());
+  EXPECT_THROW(selectKey(keys, base.size()), std::out_of_range);
+}
+
+/// Differential against the frozen std::nth_element lower median,
+/// which shares no code with the kernel: every input family at every
+/// size, 16 seeds. The finalizeCell and StructuralReducer paths (the
+/// latter with the cell split over two fetched lists) must agree too,
+/// and the result must be one of the inputs, bit for bit.
+TEST(MedianKernel, MatchesFrozenNthElement) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double tiny = std::numeric_limits<double>::denorm_min();
+  const char* const families[] = {
+      "uniform", "duplicates", "all-equal", "negatives", "signed-zeros",
+      "infinities", "subnormals", "sorted", "reversed", "sawtooth"};
+  const StructuralQuery q = makeQuery(OperatorKind::kMedian, nd::Coord{1});
+  StructuralReducer reducer(q);  // one object across cells: buffer reuse
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          std::size_t{720}, std::size_t{100000}}) {
+      for (const std::string family : families) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " n " +
+                     std::to_string(n) + " " + family);
+        std::vector<double> list(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double u = unit(rng);
+          double& v = list[i];
+          if (family == "uniform" || family == "sorted" ||
+              family == "reversed") {
+            v = -1e3 + 2e3 * u;
+          } else if (family == "duplicates") {
+            v = static_cast<double>(rng() % 5) * 0.5;
+          } else if (family == "all-equal") {
+            v = 3.25;
+          } else if (family == "negatives") {
+            v = -1e6 * u;
+          } else if (family == "signed-zeros") {
+            const double zeros[] = {-0.0, 0.0, -0.0, 1e-300, -1e-300};
+            v = zeros[rng() % 5];
+          } else if (family == "infinities") {
+            const double picks[] = {inf, -inf, 1.0, -1.0};
+            v = u < 0.5 ? picks[rng() % 4] : -10.0 + 20.0 * u;
+          } else if (family == "subnormals") {
+            v = tiny * static_cast<double>(rng() % 1000) *
+                (rng() % 2 == 0 ? 1.0 : -1.0);
+          } else {  // sawtooth
+            v = static_cast<double>(i % 17) * 1.5 - 10.0;
+          }
+        }
+        if (family == "sorted") std::sort(list.begin(), list.end());
+        if (family == "reversed") {
+          std::sort(list.begin(), list.end(), std::greater<>());
+        }
+        const double frozen = testsupport::frozenLowerMedian(list);
+        const double kernel = kernelMedian(list);
+        EXPECT_EQ(kernel, frozen);
+        EXPECT_TRUE(containsBits(list, kernel));
+        EXPECT_EQ(finalizeCell(q, {}, std::vector<double>(list)).asScalar(),
+                  frozen);
+        const auto half = static_cast<std::ptrdiff_t>(n / 2);
+        mr::Value a = mr::Value::list({list.begin(), list.begin() + half});
+        mr::Value b = mr::Value::list({list.begin() + half, list.end()});
+        std::vector<const mr::Value*> values{&a, &b};
+        LastValueContext ctx;
+        reducer.reduce(nd::Coord{0}, values, ctx);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(ctx.value.asScalar()),
+                  std::bit_cast<std::uint64_t>(kernel));
+      }
+    }
+  }
+}
+
+/// std::nth_element has no defined answer here (NaN breaks its strict
+/// weak ordering, and -0.0 == +0.0 under `<`); the kernel's is pinned
+/// by IEEE-754 totalOrder, so it is the same for every input order.
+TEST(MedianKernel, NaNsAndSignedZerosTakeTheirTotalOrderPlace) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto bitsOf = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  // +NaN sorts above everything: {1, 2, NaN} -> 2.
+  EXPECT_EQ(kernelMedian({nan, 1.0, 2.0}), 2.0);
+  // -NaN sorts below everything: {-NaN, 1, 2} -> 1.
+  EXPECT_EQ(kernelMedian({2.0, -nan, 1.0}), 1.0);
+  // A NaN majority wins the median, payload intact.
+  EXPECT_EQ(bitsOf(kernelMedian({nan, 1.0, nan})), bitsOf(nan));
+  // -0.0 < +0.0: the lower median of {+0, -0} is -0.0 in either order.
+  EXPECT_EQ(bitsOf(kernelMedian({0.0, -0.0})), bitsOf(-0.0));
+  EXPECT_EQ(bitsOf(kernelMedian({-0.0, 0.0})), bitsOf(-0.0));
+  EXPECT_EQ(bitsOf(kernelMedian({0.0, -0.0, 0.0})), bitsOf(0.0));
+  EXPECT_THROW(kernelMedian({}), std::logic_error);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -522,6 +523,70 @@ TEST(Cdl, Errors) {
                std::invalid_argument);
   EXPECT_THROW(parseCdl("variables:\n quux v();"), std::invalid_argument);
   EXPECT_THROW(parseCdl("variables:\n intv(n);"), std::invalid_argument);
+}
+
+/// Parses `text`: a success or a std::invalid_argument is fine; any
+/// other exception escapes and fails the test.
+void parseCdlOrInvalid(const std::string& text) {
+  try {
+    parseCdl(text);
+  } catch (const std::invalid_argument&) {
+  }
+}
+
+TEST(CdlFuzz, EveryTruncationParsesOrIsInvalid) {
+  // A prefix can be valid CDL (a dimensions section cut after a ';'),
+  // so each one must either parse or throw std::invalid_argument.
+  Metadata meta = paperMetadata();
+  meta.addVariable("wind", DataType::kFloat64, {"time", "lat"});
+  const std::string text = meta.toText();
+  ASSERT_EQ(parseCdl(text), meta);
+  for (std::size_t cut = 0; cut < text.size(); ++cut) {
+    SCOPED_TRACE("prefix " + std::to_string(cut));
+    parseCdlOrInvalid(text.substr(0, cut));
+  }
+}
+
+TEST(CdlFuzz, SeededMutationsOnlyThrowInvalidArgument) {
+  Metadata meta = paperMetadata();
+  meta.addVariable("wind", DataType::kFloat64, {"time", "lat"});
+  const std::string valid = meta.toText();
+  const std::vector<std::string> tokens{
+      "99999999999999999999", "-9223372036854775808", "9223372036854775807",
+      "-1", "0", "1e9", "abc", ";", "=", "(", ")", ",", "\n", "\n;\n",
+      "dimensions:\n", "variables:\n", "int ", "double x();",
+      "(time,time,time,time,time,time,time,time,time)", "time = 5;"};
+  std::mt19937_64 rng(0xcd1u);
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::string text = valid;
+    const std::size_t edits = 1 + rng() % 4;
+    for (std::size_t e = 0; e < edits; ++e) {
+      const std::size_t at = rng() % (text.size() + 1);
+      switch (rng() % 3) {
+        case 0:
+          if (at < text.size()) {
+            text[at] = static_cast<char>(rng() % 128);
+          }
+          break;
+        case 1:
+          text.erase(at, rng() % 8);
+          break;
+        default:
+          text.insert(at, tokens[rng() % tokens.size()]);
+          break;
+      }
+    }
+    SCOPED_TRACE(text);
+    parseCdlOrInvalid(text);
+  }
+}
+
+TEST(CdlFuzz, OutOfRangeLengthsAreInvalidArguments) {
+  for (const char* text : {"dimensions:\n t = 99999999999999999999;\n",
+                           "dimensions:\n t = 12abc;\n",
+                           "dimensions:\n t = -9223372036854775808;\n"}) {
+    EXPECT_THROW(parseCdl(text), std::invalid_argument) << text;
+  }
 }
 
 TEST(Cdl, ScalarVariableWithNoDims) {

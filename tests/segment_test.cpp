@@ -659,6 +659,104 @@ TEST(SegmentStream, CompressedRejectsKeySpaceMismatch) {
   EXPECT_EQ(ok.take().key, (nd::Coord{1, 2}));
 }
 
+TEST(SegmentStream, FromStreamRejectsEveryCompressedTruncationPoint) {
+  // The compressed framing's whole-segment decode (Segment::fromStream,
+  // the eager-spill read path) sees every prefix as truncated, with a
+  // window below one record and one past the whole file.
+  const nd::Coord keySpace{6, 7, 8};
+  std::mt19937_64 rng(37);
+  Segment seg = randomSortedSegment(rng, keySpace, 12);
+  auto bytes = seg.serializeCompressed(keySpace);
+  for (std::size_t window : {std::size_t{64}, std::size_t{1} << 20}) {
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      std::span<const std::byte> prefix(bytes.data(), cut);
+      EXPECT_THROW(
+          {
+            SegmentStream stream(memoryStorageOf(prefix), window, true,
+                                 keySpace);
+            Segment::fromStream(stream);
+          },
+          std::out_of_range)
+          << "window " << window << " prefix length " << cut;
+    }
+  }
+}
+
+/// Decodes `bytes` with every spill-file decoder of `framing` and
+/// returns normally or throws only the decoders' documented typed
+/// errors (std::runtime_error for structure, std::out_of_range for
+/// lengths and keys); anything else — std::bad_alloc from a trusted
+/// length, std::logic_error, a crash — escapes to fail the test.
+void decodeSpillBytes(std::span<const std::byte> bytes, bool compressed,
+                      const nd::Coord& keySpace, std::size_t window) {
+  auto typed = [](auto&& decode) {
+    try {
+      decode();
+    } catch (const std::runtime_error&) {
+    } catch (const std::out_of_range&) {
+    }
+  };
+  if (!compressed) {
+    typed([&] { Segment::deserialize(bytes, keySpace); });
+  }
+  typed([&] {
+    SegmentStream stream(memoryStorageOf(bytes), window, compressed,
+                         keySpace);
+    while (!stream.exhausted()) stream.take();
+  });
+  typed([&] {
+    SegmentStream stream(memoryStorageOf(bytes), window, compressed,
+                         keySpace);
+    Segment::fromStream(stream);
+  });
+}
+
+TEST(SpillDecoderFuzz, SeededMutationsFailTypedOrDecode) {
+  // Shaped like the wire-framing fuzz: 3000 seeded inputs per framing,
+  // a third random bytes, the rest valid spill files with 1-8 byte
+  // flips, a quarter of those then truncated, some with a random slice
+  // spliced in. Every decode must succeed or throw a typed error; a
+  // hang would time the test out.
+  const nd::Coord keySpace{6, 7, 8};
+  std::mt19937_64 rng(0x5e9f00du);
+  std::vector<Segment> seeds;
+  for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{12},
+                            std::size_t{80}}) {
+    seeds.push_back(randomSortedSegment(rng, keySpace, count));
+  }
+  for (bool compressed : {false, true}) {
+    SCOPED_TRACE(compressed ? "compressed" : "plain");
+    for (int iter = 0; iter < 3000; ++iter) {
+      std::vector<std::byte> bytes;
+      if (iter % 3 == 0) {
+        bytes.resize(rng() % 600);
+        for (auto& b : bytes) b = static_cast<std::byte>(rng() & 0xff);
+      } else {
+        const Segment& seed = seeds[rng() % seeds.size()];
+        bytes = compressed ? seed.serializeCompressed(keySpace)
+                           : seed.serialize();
+        const std::size_t flips = 1 + rng() % 8;
+        for (std::size_t f = 0; f < flips; ++f) {
+          bytes[rng() % bytes.size()] ^=
+              static_cast<std::byte>(1 + (rng() & 0xfe));
+        }
+        if (rng() % 4 == 0) bytes.resize(rng() % (bytes.size() + 1));
+        if (rng() % 8 == 0 && !bytes.empty()) {
+          const auto at = static_cast<std::ptrdiff_t>(rng() % bytes.size());
+          const auto len = static_cast<std::ptrdiff_t>(
+              rng() % (bytes.size() - static_cast<std::size_t>(at) + 1));
+          const std::vector<std::byte> slice(bytes.begin() + at,
+                                             bytes.begin() + at + len);
+          const auto to = static_cast<std::ptrdiff_t>(rng() % bytes.size());
+          bytes.insert(bytes.begin() + to, slice.begin(), slice.end());
+        }
+      }
+      decodeSpillBytes(bytes, compressed, keySpace,
+                       iter % 2 == 0 ? 64 : 4096);
+    }
+  }
+}
+
 TEST(SegmentStream, MergerOverStreamsMatchesInMemory) {
   // Mixed-source merge: one resident segment, one streamed — group
   // sequence must be identical to merging both in memory.
