@@ -74,13 +74,29 @@ done
 # classic heap-overflow territory, so it rides in the ASan pass too.
 # skew_join_test joins two value streams inside one reduce (side-tagged
 # list payloads, sorted in place) across every spill regime — buffer
-# reuse across sides is where a stale-pointer bug would live.
+# reuse across sides is where a stale-pointer bug would live. Reducers
+# read packed list values in place (raw pointers into segment storage)
+# and every regime frees a keyblock's segments on the worker that
+# commits its reduce (DESIGN.md section 21), so the suites that merge
+# and commit under every regime, transport and fault plan run here too:
+#   engine_test / randomized_test    release at commit under recovery
+#                                    re-runs and both shuffle paths
+#   segment_test                     the merger handing out in-place
+#                                    list pointers
+#   linear_fastpath_test             packed segments merged by reduces
+#   scifile_test                     run-coalesced region I/O and the
+#                                    streaming record reader
 ASAN_SUITES=(
   out_of_core_test
   engine_service_test
   segment_cache_test
   shuffle_transport_test
   skew_join_test
+  engine_test
+  randomized_test
+  segment_test
+  linear_fastpath_test
+  scifile_test
 )
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)" --target "${ASAN_SUITES[@]}"

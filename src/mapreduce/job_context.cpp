@@ -624,6 +624,9 @@ JobOutcome JobContext::finalize() {
                  result.sortTotals.radixPassesSkipped);
     t.addCounter("mem.peakResidentSegmentBytes",
                  result.peakResidentSegmentBytes);
+    // Pages still charged at the end: 0 for a job whose every reduce
+    // committed (each commit releases its keyblock's map output).
+    t.addCounter("mem.residentSegmentBytesAtEnd", pagePool->residentBytes());
     t.addCounter("mem.pressureSpillEvents", result.pressureSpillEvents);
     t.addCounter("mem.spillCompressedBytes", result.spillCompressedBytes);
     t.addCounter("cache.servedMaps", result.cacheServedMaps);
@@ -1340,6 +1343,10 @@ void JobContext::runReduce(std::uint32_t kb) {
   attemptSpan.setRepresents(tally);
 
   double tEnd = now();
+  // The handles the commit drops from the store; declared before the
+  // lock so the last references die after it is released.
+  std::vector<std::shared_ptr<const Segment>> released;
+  released.reserve(fetchSet.size());
   // Declared before the lock so the commit span covers the whole locked
   // publication and its end still falls inside the attempt span.
   obs::SpanScope commitSpan(obs::Phase::kOutputCommit, obs::TaskSide::kReduce,
@@ -1362,17 +1369,21 @@ void JobContext::runReduce(std::uint32_t kb) {
   }
   result.recordsPerReducer[kb] = recordsFetched;
   recordEvent(TaskEvent::Kind::kReduceEnd, kb, tEnd, attempt);
-  if (budgetEnabled()) {
-    // This keyblock's inputs are consumed for good (reduceDone blocks
-    // any further fetch or eviction): drop the handles and give their
-    // pages back to the pool. The actual frees run when this frame's
-    // local references unwind, outside the mutex.
-    for (std::uint32_t m : fetchSet) {
-      if (segCharge[m][kb] != 0) {
-        pagePool->release(segCharge[m][kb]);
-        segCharge[m][kb] = 0;
-      }
-      segments[m][kb] = nullptr;
+  // Release at commit, in every regime (DESIGN.md §21). I_l is exact,
+  // so nothing reads this keyblock's map output again: reduceDone blocks
+  // any further fetch or eviction, and a recovery re-run never
+  // republishes into a slot that is still segAvail. Drop the handles and
+  // give their pages back to the pool; the frees run on this worker when
+  // `released` unwinds, after the lock. Donor staging and warm cache
+  // entries hold their own handles, so they keep the segments alive
+  // where they must.
+  for (std::uint32_t m : fetchSet) {
+    if (segCharge[m][kb] != 0) {
+      pagePool->release(segCharge[m][kb]);
+      segCharge[m][kb] = 0;
+    }
+    if (segments[m][kb] != nullptr) {
+      released.push_back(std::move(segments[m][kb]));
     }
   }
   reduceDone[kb] = true;

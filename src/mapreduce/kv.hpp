@@ -91,11 +91,6 @@ class Value {
     return list_;
   }
 
-  std::vector<double>& mutableList() {
-    requireKind(ValueKind::kList);
-    return list_;
-  }
-
   friend bool operator==(const Value&, const Value&) = default;
 
  private:
@@ -140,10 +135,11 @@ struct PackedRecord {
 static_assert(std::is_trivially_copyable_v<PackedRecord>);
 
 /// Packs one record whose key is already linearized: scalar/partial
-/// payloads inline, a list payload moved to the end of `lists`.
+/// payloads inline, a list value moved whole to the end of `lists` (the
+/// reduce-side merger then hands reducers that Value in place).
 inline PackedRecord packRecord(std::uint64_t lin, Value&& value,
                                std::uint64_t represents,
-                               std::vector<std::vector<double>>& lists) {
+                               std::vector<Value>& lists) {
   PackedRecord r;
   r.lin = lin;
   r.represents = represents;
@@ -159,7 +155,7 @@ inline PackedRecord packRecord(std::uint64_t lin, Value&& value,
       // u32 index cannot overflow in practice (each list costs >=24
       // bytes of heap, so 2^32 of them exceed any node).
       r.payload.listIndex = static_cast<std::uint32_t>(lists.size());
-      lists.push_back(std::move(value.mutableList()));
+      lists.push_back(std::move(value));
       break;
   }
   return r;

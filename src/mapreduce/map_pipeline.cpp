@@ -51,8 +51,7 @@ void BufferingMapContext::emit(const nd::Coord& key, Value value,
     // atomic is touched once per ~kPageBytes, not once per record.
     pending_ += sizeof(PackedRecord);
     if (value.kind() == ValueKind::kList) {
-      pending_ += sizeof(std::vector<double>) +
-                  value.asList().size() * sizeof(double);
+      pending_ += sizeof(Value) + value.asList().size() * sizeof(double);
     }
     if (pending_ >= SegmentPagePool::kPageBytes) {
       charged_ += pool_->charge(pending_);

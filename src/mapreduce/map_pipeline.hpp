@@ -66,7 +66,7 @@ class BufferingMapContext final : public MapContext {
   nd::Coord keySpace_;
   /// Packed buffers plus the out-of-line list payloads, per keyblock.
   std::vector<std::vector<PackedRecord>> packed_;
-  std::vector<std::vector<std::vector<double>>> lists_;
+  std::vector<std::vector<Value>> lists_;
   /// Per-keyblock "emissions arrived in nondecreasing linear order so
   /// far" flag plus the last emitted linear key, maintained in emit —
   /// lets takeSegment skip the sort without rescanning.

@@ -152,7 +152,7 @@ Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
 
 Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
                  std::vector<PackedRecord> packed,
-                 std::vector<std::vector<double>> lists, nd::Coord keySpace)
+                 std::vector<Value> lists, nd::Coord keySpace)
     : packed_(std::move(packed)),
       lists_(std::move(lists)),
       packedMode_(true),
@@ -206,7 +206,7 @@ void Segment::materializeNow() const {
         kv.value = Value::partial(r.payload.partial);
         break;
       case ValueKind::kList:
-        kv.value = Value::list(std::move(lists_[r.payload.listIndex]));
+        kv.value = std::move(lists_[r.payload.listIndex]);
         break;
     }
     linearKeys.push_back(r.lin);
@@ -523,7 +523,7 @@ std::size_t Segment::serializedSize() const {
           size += 4 * 8;
           break;
         case ValueKind::kList:
-          size += 8 + 8 * lists_[r.payload.listIndex].size();
+          size += 8 + 8 * lists_[r.payload.listIndex].asList().size();
           break;
       }
     }
@@ -597,7 +597,7 @@ void Segment::serializeInto(std::vector<std::byte>& out) const {
           break;
         }
         case ValueKind::kList: {
-          const auto& xs = lists_[r.payload.listIndex];
+          const auto& xs = lists_[r.payload.listIndex].asList();
           w.u64(xs.size());
           w.words(xs.data(), xs.size());
           break;
@@ -637,8 +637,8 @@ std::uint64_t Segment::residentBytes() const noexcept {
   std::uint64_t bytes = 0;
   if (packedMode_) {
     bytes += packed_.size() * sizeof(PackedRecord);
-    for (const auto& xs : lists_) {
-      bytes += sizeof(std::vector<double>) + xs.size() * sizeof(double);
+    for (const Value& xs : lists_) {
+      bytes += sizeof(Value) + xs.asList().size() * sizeof(double);
     }
     return bytes;
   }
@@ -684,7 +684,7 @@ std::size_t Segment::serializedCompressedSize(const nd::Coord& keySpace) const {
           size += 24 + varintLen(static_cast<std::uint64_t>(r.payload.partial.count));
           break;
         case ValueKind::kList: {
-          const auto& xs = lists_[r.payload.listIndex];
+          const auto& xs = lists_[r.payload.listIndex].asList();
           size += varintLen(xs.size()) + 8 * xs.size();
           break;
         }
@@ -751,7 +751,7 @@ void Segment::serializeCompressedInto(std::vector<std::byte>& out,
           break;
         }
         case ValueKind::kList: {
-          const auto& xs = lists_[r.payload.listIndex];
+          const auto& xs = lists_[r.payload.listIndex].asList();
           w.varint(xs.size());
           w.words(xs.data(), xs.size());
           break;
@@ -1327,18 +1327,20 @@ std::uint64_t SegmentMerger::takeTopValue() {
       switch (r.kind) {
         case ValueKind::kScalar:
           hold_.push_back(Value::scalar(r.payload.scalar));
+          groupValues_.push_back(&hold_.back());
           break;
         case ValueKind::kPartial:
           hold_.push_back(Value::partial(r.payload.partial));
+          groupValues_.push_back(&hold_.back());
           break;
         case ValueKind::kList:
-          // Copy, not move: the segment stays intact (recovery may
-          // republish it).
-          hold_.push_back(
-              Value::list(c.segment->packedListAt(r.payload.listIndex)));
+          // In place: the reducer reads the segment's own list. Neither
+          // a copy nor a move — the segment stays intact (recovery may
+          // republish it, and a warm cache entry serves other jobs).
+          groupValues_.push_back(
+              &c.segment->packedListAt(r.payload.listIndex));
           break;
       }
-      groupValues_.push_back(&hold_.back());
       break;
     }
     case Kind::kStream: {

@@ -259,8 +259,8 @@ class Segment {
   /// merge). Throws std::invalid_argument when keySpace is not a valid
   /// non-empty shape.
   Segment(std::uint32_t mapTask, std::uint32_t keyblock,
-          std::vector<PackedRecord> packed,
-          std::vector<std::vector<double>> lists, nd::Coord keySpace);
+          std::vector<PackedRecord> packed, std::vector<Value> lists,
+          nd::Coord keySpace);
 
   const SegmentHeader& header() const noexcept { return header_; }
 
@@ -290,10 +290,10 @@ class Segment {
                        : std::span<const PackedRecord>();
   }
 
-  /// Out-of-line list payload of a packed record (valid while packed).
-  const std::vector<double>& packedListAt(std::uint32_t idx) const {
-    return lists_[idx];
-  }
+  /// Out-of-line list value of a packed record (valid while packed).
+  /// The merger hands reducers this very object, so a packed segment's
+  /// lists are read in place, never copied.
+  const Value& packedListAt(std::uint32_t idx) const { return lists_[idx]; }
 
   /// The key space the segment's linear keys live in (rank 0 only for
   /// a default-constructed segment).
@@ -423,7 +423,9 @@ class Segment {
   mutable std::vector<std::uint64_t> linearKeys_;
   /// Packed form (packedMode_ only); cleared by materializeNow().
   mutable std::vector<PackedRecord> packed_;
-  mutable std::vector<std::vector<double>> lists_;
+  /// kList values of packed records, indexed by PackedRecord's
+  /// listIndex; each is a whole Value so the merger can point at it.
+  mutable std::vector<Value> lists_;
   mutable bool packedMode_ = false;
   nd::Coord keySpace_;
 };
@@ -612,8 +614,9 @@ class SegmentMerger {
   nd::Coord topKey() const;
   std::uint64_t topLin() const;
   const KeyValue& topRecord() const;
-  /// Appends the top cursor's value to groupValues_ (holding a decoded
-  /// copy in hold_ for packed/stream sources), returns its represents
+  /// Appends the top cursor's value to groupValues_ (a packed list
+  /// points at the segment's own Value; packed scalars/partials and
+  /// stream-decoded values are held in hold_), returns its represents
   /// count, and advances past it.
   std::uint64_t takeTopValue();
   void requireRunCursors() const;
@@ -625,8 +628,8 @@ class SegmentMerger {
   std::vector<Cursor> heap_;
   std::vector<const Value*> groupValues_;
   /// Per-group storage for values that have no stable in-memory home
-  /// (packed list copies, stream-decoded records). A deque: growing it
-  /// never moves elements already pointed to by groupValues_.
+  /// (packed scalars/partials, stream-decoded records). A deque: growing
+  /// it never moves elements already pointed to by groupValues_.
   std::deque<Value> hold_;
 };
 

@@ -136,9 +136,8 @@ std::uint64_t Dataset::totalByteSize() const {
   return total;
 }
 
-template <typename Fn>
-void Dataset::forEachRow(std::size_t varIdx, const nd::Region& region,
-                         Fn&& fn) const {
+std::vector<Dataset::Run> Dataset::regionRuns(std::size_t varIdx,
+                                              const nd::Region& region) const {
   const nd::Coord varShape = meta_.variableShape(varIdx);
   if (!nd::Region::wholeSpace(varShape).containsRegion(region)) {
     throw std::out_of_range("Dataset: region outside variable bounds");
@@ -149,21 +148,29 @@ void Dataset::forEachRow(std::size_t varIdx, const nd::Region& region,
   if (rank == 0) {
     throw std::invalid_argument("Dataset: rank-0 region I/O is not supported");
   }
-  const auto rowLen = static_cast<std::uint64_t>(region.shape()[rank - 1]);
+  std::vector<Run> runs;
+  if (region.volume() == 0) return runs;
 
-  // Iterate the region's prefix (all dims but the innermost); each prefix
-  // coordinate identifies one contiguous run of rowLen elements.
+  // Rows are file-adjacent exactly across the trailing dimensions the
+  // region spans whole. With `k` the innermost dimension below those
+  // (0 when they are all of dims 1..rank-1), each prefix coordinate over
+  // dims [0, k) starts one contiguous run of dims [k, rank); consecutive
+  // runs never touch, because dimension k leaves a gap between them.
+  std::size_t k = rank - 1;
+  while (k > 0 && region.shape()[k] == varShape[k]) --k;
+  std::uint64_t runLen = 1;
+  for (std::size_t d = k; d < rank; ++d) {
+    runLen *= static_cast<std::uint64_t>(region.shape()[d]);
+  }
   nd::Coord cur = region.corner();
-  std::uint64_t valueOffset = 0;
   while (true) {
-    std::uint64_t fileOff =
+    runs.push_back(Run{
         base + static_cast<std::uint64_t>(nd::linearize(cur, varShape)) *
-                   elemSize;
-    fn(fileOff, rowLen, valueOffset);
-    valueOffset += rowLen;
-    // Advance the prefix coordinate (dims [0, rank-1)) in row-major order.
+                   elemSize,
+        runLen});
+    // Advance the prefix coordinate (dims [0, k)) in row-major order.
     bool done = true;
-    for (std::size_t d = rank - 1; d-- > 0;) {
+    for (std::size_t d = k; d-- > 0;) {
       if (++cur[d] < region.corner()[d] + region.shape()[d]) {
         done = false;
         break;
@@ -172,6 +179,22 @@ void Dataset::forEachRow(std::size_t varIdx, const nd::Region& region,
     }
     if (done) break;
   }
+  return runs;
+}
+
+void Dataset::readRun(std::size_t varIdx, const Run& run, std::uint64_t skip,
+                      std::span<double> out,
+                      std::vector<std::byte>& staging) const {
+  const DataType t = meta_.variable(varIdx).type;
+  const std::uint64_t fileOffset = run.fileOffset + skip * dataTypeSize(t);
+  if (t == DataType::kFloat64) {
+    // The on-disk float64 is the in-memory double: decode in place.
+    storage_->readAt(fileOffset, std::as_writable_bytes(out));
+    return;
+  }
+  staging.resize(out.size() * dataTypeSize(t));
+  storage_->readAt(fileOffset, staging);
+  decodeValues(t, staging, out);
 }
 
 void Dataset::writeRegion(std::size_t varIdx, const nd::Region& region,
@@ -180,33 +203,31 @@ void Dataset::writeRegion(std::size_t varIdx, const nd::Region& region,
     throw std::invalid_argument("Dataset::writeRegion: value count mismatch");
   }
   const DataType t = meta_.variable(varIdx).type;
-  const std::size_t elemSize = dataTypeSize(t);
-  std::vector<std::byte> rowBytes;
-  forEachRow(varIdx, region,
-             [&](std::uint64_t fileOff, std::uint64_t rowLen,
-                 std::uint64_t valueOffset) {
-               encodeValues(t, values.subspan(valueOffset, rowLen), rowBytes);
-               storage_->writeAt(fileOff,
-                                 std::span<const std::byte>(
-                                     rowBytes.data(), rowLen * elemSize));
-             });
+  std::vector<std::byte> encoded;
+  std::uint64_t valueOffset = 0;
+  for (const Run& run : regionRuns(varIdx, region)) {
+    const std::span<const double> in = values.subspan(valueOffset, run.elements);
+    if (t == DataType::kFloat64) {
+      storage_->writeAt(run.fileOffset, std::as_bytes(in));
+    } else {
+      encodeValues(t, in, encoded);
+      storage_->writeAt(run.fileOffset, encoded);
+    }
+    valueOffset += run.elements;
+  }
 }
 
 std::vector<double> Dataset::readRegion(std::size_t varIdx,
                                         const nd::Region& region) const {
   std::vector<double> values(static_cast<std::size_t>(region.volume()));
-  const DataType t = meta_.variable(varIdx).type;
-  const std::size_t elemSize = dataTypeSize(t);
-  std::vector<std::byte> rowBytes;
-  forEachRow(varIdx, region,
-             [&](std::uint64_t fileOff, std::uint64_t rowLen,
-                 std::uint64_t valueOffset) {
-               rowBytes.resize(rowLen * elemSize);
-               storage_->readAt(fileOff, rowBytes);
-               decodeValues(t, rowBytes,
-                            std::span<double>(values.data() + valueOffset,
-                                              rowLen));
-             });
+  std::vector<std::byte> staging;
+  std::uint64_t valueOffset = 0;
+  for (const Run& run : regionRuns(varIdx, region)) {
+    readRun(varIdx, run, 0,
+            std::span<double>(values).subspan(valueOffset, run.elements),
+            staging);
+    valueOffset += run.elements;
+  }
   return values;
 }
 

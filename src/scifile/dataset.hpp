@@ -6,9 +6,10 @@
 //
 // All element access happens through logical coordinates (Regions), as
 // with NetCDF/HDF5 access libraries; the dataset translates regions into
-// the minimal set of contiguous byte runs (one per innermost row), so
-// dense region writes are sequential and scattered writes pay seeks —
-// the property the Table 2 experiment measures.
+// the minimal set of file-contiguous byte runs (innermost rows, with
+// file-adjacent rows coalesced), so dense region I/O is one storage call
+// per run and scattered writes pay seeks — the property the Table 2
+// experiment measures.
 #pragma once
 
 #include <memory>
@@ -42,6 +43,30 @@ class Dataset {
   std::vector<double> readRegion(std::size_t varIdx,
                                  const nd::Region& region) const;
 
+  /// One file-contiguous run of a region: `elements` consecutive
+  /// elements stored from byte `fileOffset` on.
+  struct Run {
+    std::uint64_t fileOffset = 0;
+    std::uint64_t elements = 0;
+  };
+
+  /// The region's file-contiguous runs, in row-major order: one per
+  /// innermost row, with rows that are adjacent in the file coalesced
+  /// (a slab spanning whole trailing dimensions is a single run). The
+  /// one place region coordinates become byte offsets: readRegion,
+  /// writeRegion and streaming readers all walk these runs. Throws
+  /// std::out_of_range when the region leaves the variable's bounds and
+  /// std::invalid_argument for a rank-0 region.
+  std::vector<Run> regionRuns(std::size_t varIdx,
+                              const nd::Region& region) const;
+
+  /// Reads out.size() elements of `run` (one of regionRuns(varIdx, ...)),
+  /// starting `skip` elements into it, and decodes them to doubles with
+  /// one Storage::readAt: float64 lands in `out` directly, other types
+  /// pass through the caller's `staging` buffer.
+  void readRun(std::size_t varIdx, const Run& run, std::uint64_t skip,
+               std::span<double> out, std::vector<std::byte>& staging) const;
+
   /// Fills an entire variable with a constant (used to lay down sentinel
   /// values for the sparse-output experiment).
   void fill(std::size_t varIdx, double value);
@@ -56,11 +81,6 @@ class Dataset {
 
  private:
   Dataset(std::shared_ptr<Storage> storage, Metadata meta);
-
-  /// Invokes fn(byteOffset, rowElements, regionValueOffset) for each
-  /// contiguous innermost-dimension run of `region`.
-  template <typename Fn>
-  void forEachRow(std::size_t varIdx, const nd::Region& region, Fn&& fn) const;
 
   std::shared_ptr<Storage> storage_;
   Metadata meta_;

@@ -9,14 +9,29 @@ DatasetRecordReader::DatasetRecordReader(std::shared_ptr<sci::Dataset> dataset,
                                          std::size_t varIdx,
                                          const nd::Region& region)
     : dataset_(std::move(dataset)),
-      region_(region),
-      values_(dataset_->readRegion(varIdx, region)),
+      varIdx_(varIdx),
+      runs_(dataset_->regionRuns(varIdx, region)),
       cursor_(region) {}
+
+void DatasetRecordReader::readInto(std::span<double> out) {
+  while (!out.empty()) {
+    const sci::Dataset::Run& run = runs_[run_];
+    const std::size_t take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(out.size(), run.elements - inRun_));
+    dataset_->readRun(varIdx_, run, inRun_, out.first(take), staging_);
+    out = out.subspan(take);
+    inRun_ += take;
+    if (inRun_ == run.elements) {
+      ++run_;
+      inRun_ = 0;
+    }
+  }
+}
 
 bool DatasetRecordReader::next(nd::Coord& key, double& value) {
   if (!cursor_.valid()) return false;
   key = cursor_.coord();
-  value = values_[pos_++];
+  readInto({&value, 1});
   cursor_.next();
   return true;
 }
@@ -24,13 +39,11 @@ bool DatasetRecordReader::next(nd::Coord& key, double& value) {
 std::size_t DatasetRecordReader::nextBatch(std::span<nd::Coord> keys,
                                            std::span<double> values) {
   const std::size_t cap = std::min(keys.size(), values.size());
-  if (region_.rank() == 0) {  // rank-0 region: single scalar record
-    return RecordReader::nextBatch(keys, values);
-  }
   if (cap == 0 || !cursor_.valid()) return 0;
   keys[0] = cursor_.coord();
-  // The values are preloaded in row-major order: the batch is one copy,
-  // and the cursor only keeps next() and keys[0] in step, a row at a time.
+  // The runs follow row-major order, so the batch is the region's next n
+  // values; the cursor only keeps next() and keys[0] in step, a row at a
+  // time.
   std::size_t n = 0;
   while (n < cap && cursor_.valid()) {
     const std::size_t run = std::min(
@@ -38,9 +51,7 @@ std::size_t DatasetRecordReader::nextBatch(std::span<nd::Coord> keys,
     cursor_.advanceInRow(static_cast<nd::Index>(run));
     n += run;
   }
-  std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(pos_), n,
-              values.begin());
-  pos_ += n;
+  readInto(values.first(n));
   return n;
 }
 

@@ -15,27 +15,39 @@
 namespace sidr::sh {
 
 /// Reads a coordinate region of an SNDF variable, emitting one
-/// (coordinate, value) record per element in row-major order. Reads the
-/// region in bulk (a handful of contiguous runs) as the scientific
-/// access library would.
+/// (coordinate, value) record per element in row-major order. Streams
+/// straight from the dataset's storage: the reader keeps the region's
+/// file-contiguous runs (Dataset::regionRuns), not a copy of its values,
+/// and each batch is read into the caller's buffer with one
+/// Storage::readAt per run it touches.
 class DatasetRecordReader final : public mr::RecordReader {
  public:
+  /// Throws std::out_of_range when `region` leaves the variable's
+  /// bounds and std::invalid_argument for a rank-0 region.
   DatasetRecordReader(std::shared_ptr<sci::Dataset> dataset,
                       std::size_t varIdx, const nd::Region& region);
 
+  /// One record at a time (the frozen per-record oracles use this); a
+  /// storage read per call.
   bool next(nd::Coord& key, double& value) override;
 
-  /// Batch read under the RecordReader::nextBatch contract: copies up
-  /// to a batch of the preloaded values and writes only keys[0].
+  /// Batch read under the RecordReader::nextBatch contract: reads up to
+  /// a batch of values from storage into `values` and writes only
+  /// keys[0].
   std::size_t nextBatch(std::span<nd::Coord> keys,
                         std::span<double> values) override;
 
  private:
+  /// Reads the next out.size() values of the region into `out`.
+  void readInto(std::span<double> out);
+
   std::shared_ptr<sci::Dataset> dataset_;
-  nd::Region region_;
-  std::vector<double> values_;
+  std::size_t varIdx_;
+  std::vector<sci::Dataset::Run> runs_;
+  std::size_t run_ = 0;            ///< current run
+  std::uint64_t inRun_ = 0;        ///< elements of runs_[run_] consumed
+  std::vector<std::byte> staging_;  ///< encoded bytes of non-float64 types
   nd::RegionCursor cursor_;
-  std::size_t pos_ = 0;
 };
 
 /// Value function of a logical coordinate; lets experiments run over

@@ -397,7 +397,7 @@ TEST(PackedSegment, LazyMaterializationMatchesEagerConstruction) {
   const nd::Coord keySpace{4, 6};
   std::vector<mr::KeyValue> eager;
   std::vector<mr::PackedRecord> packed;
-  std::vector<std::vector<double>> lists;
+  std::vector<mr::Value> lists;
   auto add = [&](nd::Coord key, mr::Value v, std::uint64_t rep) {
     mr::PackedRecord r;
     r.lin = static_cast<std::uint64_t>(nd::linearize(key, keySpace));
@@ -412,7 +412,7 @@ TEST(PackedSegment, LazyMaterializationMatchesEagerConstruction) {
         break;
       case mr::ValueKind::kList:
         r.payload.listIndex = static_cast<std::uint32_t>(lists.size());
-        lists.push_back(v.asList());
+        lists.push_back(v);
         break;
     }
     packed.push_back(r);
@@ -458,7 +458,7 @@ TEST(PackedSegment, LazyMaterializationMatchesEagerConstruction) {
 TEST(PackedSegment, SpillRoundTripPreservesRecords) {
   const nd::Coord keySpace{3, 3};
   std::vector<mr::PackedRecord> packed;
-  std::vector<std::vector<double>> lists;
+  std::vector<mr::Value> lists;
   for (int i = 8; i >= 0; --i) {
     mr::PackedRecord r;
     r.lin = static_cast<std::uint64_t>(i);

@@ -12,9 +12,14 @@
 //    compression × faults produce bit-identical collectAll output,
 //    satisfy the commit-before-reduce trace invariants, and mirror the
 //    mem.* counters into the trace registry;
-//  * an eviction/recovery race hammer (run under TSan by tier1.sh).
+//  * an eviction/recovery race hammer (run under TSan by tier1.sh);
+//  * release at commit (DESIGN.md section 21): every regime drops a
+//    keyblock's map output when its reduce commits, so the pool's peak
+//    stays below the job's whole footprint, nothing is charged at the
+//    end, and a recovery re-run never republishes a committed keyblock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "mapreduce/engine.hpp"
+#include "mapreduce/map_pipeline.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
 #include "support/trace_check.hpp"
@@ -383,6 +389,175 @@ TEST(OutOfCoreHammer, EvictionRacesRecoveryAndStreamingFetch) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+// ---- release at commit: every regime frees consumed map output ----
+
+/// Page-rounded footprint of every non-empty segment the job's maps
+/// produce — what the pool would hold if nothing were released before
+/// the end. Computed by running the production map pipeline per split.
+std::uint64_t summedSegmentPages(const mr::JobSpec& spec) {
+  std::uint64_t total = 0;
+  for (std::uint32_t m = 0; m < spec.splits.size(); ++m) {
+    auto mapper = spec.mapperFactory();
+    auto combiner = spec.combinerFactory ? spec.combinerFactory() : nullptr;
+    for (const mr::Segment& seg :
+         mr::runMapPipeline(spec.splits[m], m, spec.readerFactory, *mapper,
+                            *spec.partitioner, spec.numReducers,
+                            combiner.get(), spec.keySpace, nullptr)) {
+      if (seg.residentBytes() > 0) {
+        total += mr::SegmentPagePool::pageRound(seg.residentBytes());
+      }
+    }
+  }
+  return total;
+}
+
+/// A Query 1 shaped median (list values) with one reduce slot: reduces
+/// run one at a time in priority order and overlap the maps that feed
+/// the later keyblocks.
+PlanOptions releasePlanOptions() {
+  PlanOptions opts;
+  opts.system = SystemMode::kSidr;
+  opts.numReducers = 8;
+  opts.desiredSplitCount = 12;
+  opts.mapSlots = 2;
+  opts.reduceSlots = 1;
+  opts.numThreads = 2;
+  opts.recordTrace = true;
+  return opts;
+}
+
+sh::StructuralQuery releaseQuery() {
+  sh::StructuralQuery q;
+  q.variable = "v";
+  q.op = OperatorKind::kMedian;
+  q.extractionShape = nd::Coord{3, 4};
+  return q;
+}
+
+TEST(ReleaseAtCommit, UnlimitedBudgetPeakStaysBelowWholeFootprint) {
+  const nd::Coord input{96, 64};
+  sh::ValueFn fn = sh::windspeedField(5);
+  QueryPlanner planner(releaseQuery(), input);
+  QueryPlan plan = planner.plan(fn, releasePlanOptions());
+  const std::uint64_t whole = summedSegmentPages(plan.spec);
+  ASSERT_GT(whole, 8 * mr::SegmentPagePool::kPageBytes)
+      << "the job must publish more than a few pages for the bound to bite";
+  ASSERT_EQ(plan.spec.memoryBudgetBytes, 0u);
+  mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
+  EXPECT_EQ(result.annotationViolations, 0u);
+  EXPECT_EQ(result.pressureSpillEvents, 0u);
+  EXPECT_GT(result.peakResidentSegmentBytes, 0u);
+  EXPECT_LT(result.peakResidentSegmentBytes, whole)
+      << "committed keyblocks must give their segments back before the "
+         "last map publishes";
+  EXPECT_EQ(result.trace.counterValue("mem.residentSegmentBytesAtEnd"), 0u);
+
+  sh::ExtractionMap ex(releaseQuery(), input);
+  std::vector<mr::KeyValue> oracle =
+      sh::runSerialOracle(releaseQuery(), ex, fn);
+  std::vector<mr::KeyValue> got = result.collectAll();
+  ASSERT_EQ(got.size(), oracle.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, oracle[i].key) << "at " << i;
+    EXPECT_EQ(got[i].value, oracle[i].value) << "at " << i;
+  }
+}
+
+TEST(ReleaseAtCommit, EveryRegimeEndsWithNothingCharged) {
+  const nd::Coord input{48, 32};
+  sh::ValueFn fn = sh::windspeedField(9);
+  QueryPlanner planner(releaseQuery(), input);
+  std::vector<mr::KeyValue> reference;
+  for (int regime = 0; regime < 3; ++regime) {
+    SCOPED_TRACE("regime " + std::to_string(regime));
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("sidr_ooc_release_" + std::to_string(regime)))
+            .string();
+    std::filesystem::remove_all(dir);
+    QueryPlan plan = planner.plan(fn, releasePlanOptions());
+    if (regime >= 1) plan.spec.spillDirectory = dir;  // eager spill
+    if (regime == 2) {                                // hybrid
+      plan.spec.memoryBudgetBytes = 4 * mr::SegmentPagePool::kPageBytes;
+      plan.spec.mergeWindowBytes = 4096;
+    }
+    mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
+    EXPECT_EQ(result.annotationViolations, 0u);
+    EXPECT_EQ(result.trace.counterValue("mem.residentSegmentBytesAtEnd"), 0u);
+    auto collected = result.collectAll();
+    std::filesystem::remove_all(dir);
+    if (regime == 0) {
+      reference = std::move(collected);
+    } else {
+      expectSameCollected(collected, reference);
+    }
+  }
+}
+
+TEST(ReleaseAtCommit, RecoveryRerunDoesNotRepublishCommittedKeyblock) {
+  const nd::Coord input{96, 64};
+  sh::ValueFn fn = sh::windspeedField(5);
+  QueryPlanner planner(releaseQuery(), input);
+  PlanOptions opts = releasePlanOptions();
+  QueryPlan probe = planner.plan(fn, opts);
+  // With one reduce slot keyblocks run strictly in priority order, so
+  // the last one runs after every other has committed. Fail its first
+  // attempt under kRecomputeDeps: its I_l maps re-run, and the ones it
+  // shares with an earlier keyblock produce output for a keyblock that
+  // already committed and released its segments.
+  const std::uint32_t last = probe.spec.reducePriority.empty()
+                                 ? opts.numReducers - 1
+                                 : probe.spec.reducePriority.back();
+  const auto& deps = probe.spec.reduceDeps;
+  std::vector<std::uint32_t> shared;
+  for (std::uint32_t kb = 0; kb < deps.size(); ++kb) {
+    if (kb == last) continue;
+    for (std::uint32_t m : deps[kb]) {
+      if (std::find(deps[last].begin(), deps[last].end(), m) !=
+          deps[last].end()) {
+        shared.push_back(m);
+      }
+    }
+  }
+  ASSERT_FALSE(shared.empty())
+      << "the plan must share a map between the failed keyblock and an "
+         "earlier one";
+
+  QueryPlan reference = planner.plan(fn, opts);
+  std::vector<mr::KeyValue> clean =
+      mr::Engine(std::move(reference.spec)).run().collectAll();
+
+  opts.recovery = mr::RecoveryModel::kRecomputeDeps;
+  opts.faultPlan.failReduce(last, 1);
+  QueryPlan plan = planner.plan(fn, opts);
+  mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
+  EXPECT_EQ(result.reduceFailures, 1u);
+  EXPECT_GT(result.mapsReExecuted, 0u);
+  // A shared map really ran again after a keyblock it feeds committed.
+  std::map<std::uint32_t, double> committedAt;
+  for (const mr::TaskEvent& e : result.events) {
+    if (e.kind == mr::TaskEvent::Kind::kReduceEnd) committedAt[e.taskId] = e.seconds;
+  }
+  bool sharedRerun = false;
+  for (const mr::TaskEvent& e : result.events) {
+    if (e.kind != mr::TaskEvent::Kind::kMapStart || e.attempt == 1) continue;
+    for (std::uint32_t kb = 0; kb < deps.size(); ++kb) {
+      if (kb != last && committedAt.contains(kb) &&
+          committedAt[kb] <= e.seconds &&
+          std::find(deps[kb].begin(), deps[kb].end(), e.taskId) !=
+              deps[kb].end()) {
+        sharedRerun = true;
+      }
+    }
+  }
+  EXPECT_TRUE(sharedRerun);
+  // Republishing into a committed keyblock's slot would leave its pages
+  // charged with no reduce left to release them.
+  EXPECT_EQ(result.trace.counterValue("mem.residentSegmentBytesAtEnd"), 0u);
+  EXPECT_EQ(result.annotationViolations, 0u);
+  expectSameCollected(result.collectAll(), clean);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 #include "mapreduce/combiners.hpp"
 #include "mapreduce/partitioners.hpp"
@@ -372,6 +373,93 @@ TEST(SegmentMerger, ManySegmentsStaySorted) {
   EXPECT_EQ(total, 200u);
 }
 
+/// Two packed segments mixing list, scalar and partial values with
+/// shared keys, sorted as a map task leaves them.
+std::vector<Segment> packedListSegments() {
+  const nd::Coord keySpace{6, 5};
+  std::vector<Segment> segs;
+  for (std::uint32_t m = 0; m < 2; ++m) {
+    std::vector<KeyValue> recs;
+    for (nd::Index k = 0; k < 12; ++k) {
+      const nd::Coord key{(k * 5 + m) % 6, (k + 2 * m) % 5};
+      const double x = static_cast<double>(10 * m + k);
+      Value v = k % 4 == 3   ? Value::scalar(x)
+                : k % 4 == 2 ? Value::partial(Partial::ofValue(x))
+                             : Value::list({x, x + 0.5, -x});
+      recs.push_back({key, std::move(v), 1 + m});
+    }
+    Segment seg(m, 0, std::move(recs), keySpace);
+    seg.sortByKey();
+    segs.push_back(std::move(seg));
+  }
+  return segs;
+}
+
+struct MergedGroup {
+  nd::Coord key;
+  std::vector<Value> values;
+  std::uint64_t represents;
+  friend bool operator==(const MergedGroup&, const MergedGroup&) = default;
+};
+
+std::vector<MergedGroup> mergeGroups(const std::vector<Segment>& segs) {
+  std::vector<const Segment*> ptrs;
+  for (const Segment& s : segs) ptrs.push_back(&s);
+  SegmentMerger merger(ptrs);
+  std::vector<MergedGroup> groups;
+  merger.forEachGroup([&](const nd::Coord& key,
+                          std::span<const Value* const> values,
+                          std::uint64_t represents) {
+    MergedGroup g{key, {}, represents};
+    for (const Value* v : values) g.values.push_back(*v);
+    groups.push_back(std::move(g));
+  });
+  return groups;
+}
+
+TEST(SegmentMerger, PackedListsReachReducersInPlace) {
+  const std::vector<Segment> segs = packedListSegments();
+  std::set<const Value*> own;
+  for (const Segment& s : segs) {
+    ASSERT_TRUE(s.packed());
+    for (const PackedRecord& r : s.packedRecords()) {
+      if (r.kind == ValueKind::kList) {
+        own.insert(&s.packedListAt(r.payload.listIndex));
+      }
+    }
+  }
+  ASSERT_FALSE(own.empty());
+  std::vector<const Segment*> ptrs{&segs[0], &segs[1]};
+  SegmentMerger merger(ptrs);
+  std::set<const Value*> seen;
+  merger.forEachGroup([&](const nd::Coord&,
+                          std::span<const Value* const> values,
+                          std::uint64_t) {
+    for (const Value* v : values) {
+      if (v->kind() != ValueKind::kList) continue;
+      EXPECT_TRUE(own.contains(v))
+          << "a packed list must be the segment's own entry, not a copy";
+      EXPECT_TRUE(seen.insert(v).second) << "each list is handed out once";
+    }
+  });
+  EXPECT_EQ(seen, own);
+}
+
+TEST(SegmentMerger, MergingLeavesPackedSegmentsIntact) {
+  const std::vector<Segment> segs = packedListSegments();
+  std::vector<std::vector<std::byte>> before;
+  for (const Segment& s : segs) before.push_back(s.serialize());
+  const std::vector<MergedGroup> first = mergeGroups(segs);
+  ASSERT_FALSE(first.empty());
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    EXPECT_TRUE(segs[i].packed()) << "merging must not materialize";
+    EXPECT_EQ(segs[i].serialize(), before[i]);
+  }
+  // A recovery re-run or a second job over warm cache entries merges
+  // the very same segments again.
+  EXPECT_EQ(mergeGroups(segs), first);
+}
+
 TEST(SegmentMerger, EmptyInput) {
   SegmentMerger merger(std::span<const Segment* const>{});
   int calls = 0;
@@ -548,7 +636,7 @@ TEST(SegmentStream, CompressedPackedEncodeMatchesMaterialized) {
   // output to encoding the materialized view of the same records.
   const nd::Coord keySpace{4, 5};
   std::vector<PackedRecord> packed;
-  std::vector<std::vector<double>> lists;
+  std::vector<Value> lists;
   auto addPacked = [&](std::uint64_t lin, Value v, std::uint64_t rep) {
     PackedRecord r;
     r.lin = lin;
@@ -563,7 +651,7 @@ TEST(SegmentStream, CompressedPackedEncodeMatchesMaterialized) {
         break;
       case ValueKind::kList:
         r.payload.listIndex = static_cast<std::uint32_t>(lists.size());
-        lists.push_back(v.asList());
+        lists.push_back(v);
         break;
     }
     packed.push_back(r);

@@ -203,7 +203,7 @@ TEST(SortParity, KeysBeyondU32SpanExerciseHighBytePasses) {
 /// radix included — serializes to the identical bytes.
 void expectSegmentBytesMatchFrozenOracle(
     std::vector<mr::PackedRecord> packed,
-    std::vector<std::vector<double>> lists, const nd::Coord& keySpace) {
+    std::vector<mr::Value> lists, const nd::Coord& keySpace) {
   std::vector<mr::KeyValue> eager;
   eager.reserve(packed.size());
   for (const mr::PackedRecord& r : packed) {
@@ -218,7 +218,7 @@ void expectSegmentBytesMatchFrozenOracle(
         kv.value = mr::Value::partial(r.payload.partial);
         break;
       case mr::ValueKind::kList:
-        kv.value = mr::Value::list(lists[r.payload.listIndex]);
+        kv.value = lists[r.payload.listIndex];
         break;
     }
     eager.push_back(std::move(kv));
@@ -250,11 +250,11 @@ TEST(SortParity, EncodedSegmentBytesIdentical) {
       auto packed = makeRecords(shape, n, span, rng);
       // Sprinkle in out-of-line list payloads so every value kind
       // crosses the codec.
-      std::vector<std::vector<double>> lists;
+      std::vector<mr::Value> lists;
       for (std::size_t i = 0; i < packed.size(); i += 5) {
         packed[i].kind = mr::ValueKind::kList;
         packed[i].payload.listIndex = static_cast<std::uint32_t>(lists.size());
-        lists.push_back({static_cast<double>(i), 0.25});
+        lists.push_back(mr::Value::list({static_cast<double>(i), 0.25}));
       }
       expectSegmentBytesMatchFrozenOracle(std::move(packed), std::move(lists),
                                           keySpace);
