@@ -1,7 +1,7 @@
 // Multi-job service driver (DESIGN.md section 15): submits a fleet of
 // 72 queued jobs to one EngineService — cycling every shuffle regime
-// (in-memory, eager spill, hybrid budget, compressed spill, injected
-// faults with recovery, barrier mode) plus terminally-failing and
+// (in-memory, eager spill, hybrid budget, injected faults with
+// recovery, barrier mode) plus terminally-failing and
 // cancelled jobs — over ONE shared spill directory, and verifies the
 // service is a correctness-preserving substrate:
 //
@@ -77,10 +77,10 @@ std::size_t filesUnder(const std::string& dir) {
   return n;
 }
 
-/// Six successful job shapes covering every shuffle regime.
+/// Five successful job shapes covering every shuffle regime.
 core::QueryPlan makePlan(int variant, const std::string& spillDir,
                          bool quick) {
-  const int v = variant % 6;
+  const int v = variant % 5;
   sh::StructuralQuery q;
   q.variable = "v";
   q.op = (variant % 2 == 0) ? sh::OperatorKind::kMean
@@ -91,7 +91,7 @@ core::QueryPlan makePlan(int variant, const std::string& spillDir,
                         8};
   core::PlanOptions opts;
   opts.system =
-      (v == 5) ? core::SystemMode::kSciHadoop : core::SystemMode::kSidr;
+      (v == 4) ? core::SystemMode::kSciHadoop : core::SystemMode::kSidr;
   opts.numReducers = static_cast<std::uint32_t>(3 + variant % 4);
   opts.desiredSplitCount = quick ? 6 : 10;
   opts.numThreads = 2;  // solo baselines only; the service has its own
@@ -100,8 +100,7 @@ core::QueryPlan makePlan(int variant, const std::string& spillDir,
     opts.memoryBudgetBytes = 2 * mr::SegmentPagePool::kPageBytes;
     opts.mergeWindowBytes = 4096;
   }
-  if (v == 3) opts.compressSpill = true;
-  if (v == 4) {
+  if (v == 3) {
     opts.faultPlan.failMap(0, 1);
     opts.faultPlan.failReduce(1, 1);
   }

@@ -8,9 +8,7 @@
 //     write-everything mode);
 //   * hybrid-<B>     — spillDirectory + memoryBudgetBytes = B: maps
 //     publish in-memory handles, pressure evicts the coldest committed
-//     keyblocks, reduces stream evicted inputs through bounded windows;
-//   * hybrid-256MiB-z — the 256 MiB arm with varint/delta spill
-//     compression on.
+//     keyblocks, reduces stream evicted inputs through bounded windows.
 //
 // Geometry defaults to a scaled Query 1 dataset ({360,36,72,25}, ~23.3M
 // cells) so the sweep finishes in seconds; `--quick` shrinks it to a
@@ -19,8 +17,8 @@
 // runs exercise the identical code paths and eviction behavior).
 //
 // Emits BENCH_memory_budget.json: per-arm wall seconds, throughput,
-// peak resident segment bytes, pressure-spill events, compressed spill
-// bytes, and an `identical` flag against the in-memory baseline.
+// peak resident segment bytes, pressure-spill events, shuffle bytes,
+// and an `identical` flag against the in-memory baseline.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -41,7 +39,6 @@ struct Arm {
   std::string label;
   bool spill;
   std::uint64_t budget;
-  bool compress;
 };
 
 bool sameCollected(const std::vector<mr::KeyValue>& xs,
@@ -101,20 +98,17 @@ int main(int argc, char** argv) {
 
   constexpr std::uint64_t kMiB = 1ull << 20;
   const std::vector<Arm> arms = {
-      {"in-memory", false, 0, false},
-      {"spill-eager", true, 0, false},
-      {"hybrid-1GiB", true, 1024 * kMiB, false},
-      {"hybrid-256MiB", true, 256 * kMiB, false},
-      {"hybrid-64MiB", true, 64 * kMiB, false},
-      {"hybrid-256MiB-z", true, 256 * kMiB, true},
+      {"in-memory", false, 0},
+      {"spill-eager", true, 0},
+      {"hybrid-1GiB", true, 1024 * kMiB},
+      {"hybrid-256MiB", true, 256 * kMiB},
+      {"hybrid-64MiB", true, 64 * kMiB},
       // Early-start reduces drain segments almost as fast as maps
       // publish them, so concurrent residency sits far below the total
       // intermediate volume — these arms squeeze below it to put the
-      // pressure evictor (and compression, which only encodes evicted
-      // keyblocks) on the hot path.
-      {"hybrid-16MiB", true, 16 * kMiB, false},
-      {"hybrid-8MiB", true, 8 * kMiB, false},
-      {"hybrid-8MiB-z", true, 8 * kMiB, true},
+      // pressure evictor on the hot path.
+      {"hybrid-16MiB", true, 16 * kMiB},
+      {"hybrid-8MiB", true, 8 * kMiB},
   };
 
   const double cells = static_cast<double>(input.volume());
@@ -135,7 +129,6 @@ int main(int argc, char** argv) {
     core::QueryPlan plan = planner.plan(fn, opts);
     if (arm.spill) plan.spec.spillDirectory = dir;
     plan.spec.memoryBudgetBytes = arm.budget;
-    plan.spec.compressSpill = arm.compress;
     const auto t0 = std::chrono::steady_clock::now();
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     const double secs =
@@ -153,11 +146,10 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "%-16s %7.2fs  %6.1fM cells/s  peak=%6.1fMiB  evictions=%-5llu "
-        "zbytes=%8.1fKiB  slowdown=%.2fx  %s\n",
+        "slowdown=%.2fx  %s\n",
         arm.label.c_str(), secs, cells / secs / 1e6,
         static_cast<double>(result.peakResidentSegmentBytes) / kMiB,
         static_cast<unsigned long long>(result.pressureSpillEvents),
-        static_cast<double>(result.spillCompressedBytes) / 1024.0,
         secs / baselineSecs, identical ? "output identical" : "OUTPUT DIFFERS");
 
     json.metric(arm.label + ".seconds", secs, "s");
@@ -166,8 +158,6 @@ int main(int argc, char** argv) {
                 static_cast<double>(result.peakResidentSegmentBytes), "B");
     json.metric(arm.label + ".pressure_spill_events",
                 static_cast<double>(result.pressureSpillEvents));
-    json.metric(arm.label + ".spill_compressed_bytes",
-                static_cast<double>(result.spillCompressedBytes), "B");
     json.metric(arm.label + ".shuffle_bytes",
                 static_cast<double>(result.shuffleBytes), "B");
     json.metric(arm.label + ".identical", identical ? 1 : 0);

@@ -1,15 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite, then the concurrency-
-# sensitive engine tests again under ThreadSanitizer (the engine's
-# locking discipline — lock-free reduce fetch over published segment
-# handles, atomic attempt commits of spilled map output — is exactly
-# what TSan checks). engine_test and randomized_test cover BOTH shuffle
-# paths: the fault-plan / recovery suites (Engine.SpillRecoveryRaceHammer,
-# Engine.FaultPlan*, RandomizedFaultPlan.*) run with spillDirectory set,
-# so the spilled path's recovery races are sanitized too, not just the
-# in-memory path. The trace suites run under TSan as well: the lock-free
-# span recorder publishes chunks concurrently from workers and the
-# spill-writer pool, and the invariant checks read them back after join.
+# Tier-1 verification: full build + test suite, then the sanitizer
+# sweeps (TSan over the concurrency-sensitive engine suites, ASan over
+# the memory-motion-heavy ones, fatal UBSan over the byte decoders),
+# then the bench gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,120 +13,24 @@ cmake --build --preset default -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)" -LE slow
 ctest --test-dir build --output-on-failure -j"$(nproc)" -L slow
 
-# The TSan sweep, one suite per line. Why each is here:
-#   engine_test / randomized_test    both shuffle paths + recovery races
-#   linear_fastpath_test             packed segments' lazy materialization
-#                                    on concurrently running reduces
-#   sort_spill_parity_test           spill-writer pool re-encoding failed
-#                                    attempts while lock-free fetches read
-#                                    committed segments
-#   trace_invariants_test            per-thread span-chunk publication
-#   trace_differential_test          engine-vs-sim traces, recorder on
-#   out_of_core_test                 pressure eviction vs recovery vs
-#                                    streaming fetch (DESIGN.md section 14)
-#   engine_service_test              N jobs sharing workers, one pool, one
-#                                    spill dir; cancel/finalize races
-#   segment_cache_test               warm claims racing donation, eviction
-#                                    under pressure, cancel-mid-donation
-#                                    (DESIGN.md section 16)
-#   shuffle_transport_test           socket server threads serializing
-#                                    segments concurrently with recovery
-#                                    republication and mid-fetch cancels
-#                                    (DESIGN.md section 17)
-#   skew_join_test                   two-input maps feeding one shuffle,
-#                                    refined-deal routing under every
-#                                    regime/transport, join reduces over
-#                                    dual-side segments (DESIGN.md §18)
-TSAN_SUITES=(
-  engine_test
-  randomized_test
-  linear_fastpath_test
-  sort_spill_parity_test
-  trace_invariants_test
-  trace_differential_test
-  out_of_core_test
-  engine_service_test
-  segment_cache_test
-  shuffle_transport_test
-  skew_join_test
-)
+# The sanitizer sweeps. The suite lists, and why each suite is in
+# them, live in scripts/sanitizer_suites.sh (CI sources it too).
+source scripts/sanitizer_suites.sh
+
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" --target "${TSAN_SUITES[@]}"
 for suite in "${TSAN_SUITES[@]}"; do
   TSAN_OPTIONS=halt_on_error=1 "./build-tsan/tests/${suite}"
 done
 
-# ASan pass over the memory-motion-heavy suites: the windowed
-# SegmentStream decoder and the compressed varint codec move buffer
-# boundaries around under pressure — exactly where an off-by-one would
-# hide from TSan — the service's job teardown (namespace removal,
-# handle-outlives-service results) is where a use-after-free would, and
-# the segment cache hands shared_ptr segment handles across job
-# lifetimes (donation after finalize, claims from later jobs). The
-# transport suite's framed-decode fuzzing and chunked file serving are
-# classic heap-overflow territory, so it rides in the ASan pass too.
-# skew_join_test joins two value streams inside one reduce (side-tagged
-# list payloads, sorted in place) across every spill regime — buffer
-# reuse across sides is where a stale-pointer bug would live. Reducers
-# read packed list values in place (raw pointers into segment storage)
-# and every regime frees a keyblock's segments on the worker that
-# commits its reduce (DESIGN.md section 21), so the suites that merge
-# and commit under every regime, transport and fault plan run here too:
-#   engine_test / randomized_test    release at commit under recovery
-#                                    re-runs and both shuffle paths
-#   segment_test                     the merger handing out in-place
-#                                    list pointers
-#   linear_fastpath_test             packed segments merged by reduces
-#   scifile_test                     run-coalesced region I/O and the
-#                                    streaming record reader
-ASAN_SUITES=(
-  out_of_core_test
-  engine_service_test
-  segment_cache_test
-  shuffle_transport_test
-  skew_join_test
-  engine_test
-  randomized_test
-  segment_test
-  linear_fastpath_test
-  scifile_test
-)
+# ASan pass over the memory-motion-heavy suites.
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)" --target "${ASAN_SUITES[@]}"
 for suite in "${ASAN_SUITES[@]}"; do
   "./build-asan/tests/${suite}"
 done
 
-# UBSan pass (fatal: the preset adds -fno-sanitize-recover=undefined,
-# so the first report aborts the binary instead of only logging). The
-# suites are the ones that move raw bytes and thread-local state:
-#   segment_test / linear_fastpath_test / sort_spill_parity_test
-#                                    the wire and compressed codecs,
-#                                    packed radix sorts, decode-time
-#                                    linearization of untrusted keys
-#   trace_invariants_test            the thread_local recorder pointer
-#   scifile_test                     the SNDF header/metadata decoder
-#                                    fuzz (absurd dimension lengths
-#                                    must not overflow a size)
-#   shuffle_transport_test           framed-decode fuzzing
-#   operators_test                   the median kernel's bit casts,
-#                                    shifts and histogram indexing over
-#                                    NaNs, infinities and subnormals
-#   dense_mapper_test                dense cell-array offsets under row
-#                                    runs cut from the region cursor
-#   query_parser_test                number and coordinate scanning of
-#                                    fuzzed query text
-UBSAN_SUITES=(
-  segment_test
-  linear_fastpath_test
-  sort_spill_parity_test
-  trace_invariants_test
-  scifile_test
-  shuffle_transport_test
-  operators_test
-  dense_mapper_test
-  query_parser_test
-)
+# UBSan pass (fatal: any report aborts the binary).
 cmake --preset ubsan
 cmake --build --preset ubsan -j"$(nproc)" --target "${UBSAN_SUITES[@]}"
 for suite in "${UBSAN_SUITES[@]}"; do
@@ -156,8 +53,8 @@ cmake --build --preset bench -j"$(nproc)" --target bench_map_pipeline \
 # results observed mid-run, and the warm-resubmission arm hitting the
 # segment cache with zero map tasks (exits non-zero on any violation).
 ./build-bench/bench/bench_engine_service --quick
-# Transport sweep: socket and file-served data planes must reproduce
-# the in-process run bit-identically (exits non-zero on divergence).
+# Transport sweep: the socket data plane must reproduce the in-process
+# run bit-identically (exits non-zero on divergence).
 ./build-bench/bench/bench_shuffle_transport --quick
 # Skew-adaptive join gate: refined plan bit-identical to uniform, both
 # matching the nested-loop oracle, p99 keyblock load improved >= 1.5x

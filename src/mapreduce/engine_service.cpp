@@ -401,9 +401,8 @@ EngineService::~EngineService() {
 }
 
 JobHandle EngineService::submit(JobSpec spec) {
-  // Resolve the service-wide transport default before validation so an
-  // invalid combination (file-served without eager spill) is rejected
-  // at submit time, whichever side chose the transport.
+  // Resolve the service-wide transport default before validation, so
+  // the spec validated is the one the job runs with.
   if (!spec.transport.has_value()) {
     spec.transport = config_.defaultTransport;
   }

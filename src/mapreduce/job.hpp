@@ -56,13 +56,11 @@ enum class ShuffleTransportKind : std::uint8_t {
   kInProcess = 0,
   /// Localhost TCP: a per-job server thread serves segments over
   /// length-prefixed frames (the exact-size bulk codec is the wire
-  /// format); clients batch multiple maps per request across a pooled
-  /// set of connections.
+  /// format) — resident ones encoded on demand, spilled ones streamed
+  /// from their committed files; clients batch multiple maps per
+  /// request across a pooled set of connections. The seam a
+  /// multi-process engine would fetch through.
   kSocket,
-  /// Localhost TCP serving ONLY committed `job<id>/` spill files,
-  /// streamed through bounded windows server-side and decoded through
-  /// SegmentStream windows client-side. Requires eager spill.
-  kFileServed,
 };
 
 const char* shuffleTransportName(ShuffleTransportKind kind) noexcept;
@@ -332,11 +330,6 @@ struct JobSpec {
   /// is set.
   std::size_t mergeWindowBytes = 1 << 20;
 
-  /// Encode spill (and eviction) files with the varint/delta compressed
-  /// framing instead of the fixed-width one. Requires spillDirectory
-  /// (the compressed framing delta-encodes linear keys in keySpace).
-  bool compressSpill = false;
-
   /// Canonical MapFingerprint of everything that determines this job's
   /// committed map-output bytes — (dataset identity, split geometry,
   /// extraction/filter spec, keySpace, partition plan). Set by the
@@ -361,9 +354,8 @@ struct JobSpec {
   /// Shuffle data plane (DESIGN.md §17). Unset = kInProcess, which is
   /// byte-identical to the historical fetch path. EngineService fills an
   /// unset value from ServiceConfig::defaultTransport at submission.
-  /// kFileServed requires eager spill (spillDirectory set, no memory
-  /// budget); cache-served runs always use kInProcess regardless of this
-  /// field (warm handles have no spill files to serve).
+  /// Cache-served runs always use kInProcess regardless of this field
+  /// (warm handles have no spill files to serve).
   std::optional<ShuffleTransportKind> transport;
 
   /// What skew-adaptive planning did for this job (informational; the
@@ -467,9 +459,6 @@ struct JobResult {
   std::uint64_t peakResidentSegmentBytes = 0;
   /// Segments evicted to disk by memory pressure (tentpole (b)).
   std::uint64_t pressureSpillEvents = 0;
-  /// Bytes written through the compressed spill framing (0 when
-  /// compressSpill is off).
-  std::uint64_t spillCompressedBytes = 0;
   /// Map tasks this job never executed because the service segment
   /// cache served their committed output warm (DESIGN.md §16). Either 0
   /// (cold run) or the job's full map count: a fingerprint hit serves

@@ -90,10 +90,6 @@ void validateJobSpec(const JobSpec& spec) {
           "Engine: mergeWindowBytes must be > 0 when a memory budget is set");
     }
   }
-  if (spec.compressSpill && spec.spillDirectory.empty()) {
-    throw std::invalid_argument(
-        "Engine: compressSpill requires a spillDirectory");
-  }
   for (const FaultSpec& f : spec.faultPlan.faults) {
     if (f.attempt == 0) {
       throw std::invalid_argument("Engine: fault attempt ids are 1-based");
@@ -151,13 +147,6 @@ void validateJobSpec(const JobSpec& spec) {
   }
   if (spec.transportTimeoutMillis == 0) {
     throw std::invalid_argument("Engine: transportTimeoutMillis must be > 0");
-  }
-  if (spec.transport == ShuffleTransportKind::kFileServed &&
-      (spec.spillDirectory.empty() || spec.memoryBudgetBytes > 0)) {
-    throw std::invalid_argument(
-        "Engine: the file-served transport requires eager spill "
-        "(spillDirectory set, no memory budget) — it serves committed "
-        "job<id>/ segment files");
   }
 }
 
@@ -220,26 +209,10 @@ SegmentHeader JobContext::peekSpilledHeader(std::uint32_t m,
 }
 
 /// Reads and decodes a spilled segment; adds the bytes moved to
-/// `bytesFetched` (the shuffleBytes accounting). Compressed spill
-/// files decode through the streaming reader (the only decoder that
-/// understands the delta/varint wire form); the window is irrelevant
-/// here since the whole segment materializes anyway.
+/// `bytesFetched` (the shuffleBytes accounting).
 Segment JobContext::loadSpilledSegment(std::uint32_t m, std::uint32_t kb,
                                        std::uint64_t& bytesFetched) const {
-  if (spec.compressSpill) {
-    SegmentStream stream(segmentPath(m, kb),
-                         std::max<std::size_t>(spec.mergeWindowBytes, 1),
-                         /*compressed=*/true, spec.keySpace);
-    Segment seg = Segment::fromStream(stream);
-    bytesFetched += stream.bytesRead();
-    return seg;
-  }
-  sci::FileStorage file(segmentPath(m, kb),
-                        sci::FileStorage::Mode::kOpenReadOnly);
-  std::vector<std::byte> bytes(file.size());
-  file.readAt(0, bytes);
-  bytesFetched += bytes.size();
-  return Segment::deserialize(bytes, spec.keySpace);
+  return readSegmentFile(segmentPath(m, kb), spec.keySpace, bytesFetched);
 }
 
 // Marks a map schedulable (SIDR: because a scheduled reduce depends on
@@ -593,8 +566,6 @@ JobOutcome JobContext::finalize() {
 
   result.peakResidentSegmentBytes = pagePool->peakResidentBytes();
   result.pressureSpillEvents = pressureSpills.load(std::memory_order_relaxed);
-  result.spillCompressedBytes =
-      compressedSpillBytes.load(std::memory_order_relaxed);
   result.totalSeconds = now();
   result.firstResultSeconds = result.totalSeconds;
   for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
@@ -628,7 +599,6 @@ JobOutcome JobContext::finalize() {
     // committed (each commit releases its keyblock's map output).
     t.addCounter("mem.residentSegmentBytesAtEnd", pagePool->residentBytes());
     t.addCounter("mem.pressureSpillEvents", result.pressureSpillEvents);
-    t.addCounter("mem.spillCompressedBytes", result.spillCompressedBytes);
     t.addCounter("cache.servedMaps", result.cacheServedMaps);
     t.addCounter("cache.bytesServed", result.cacheBytesServed);
     t.addCounter("net.wireBytes", result.transportTotals.wireBytes);
@@ -663,8 +633,7 @@ JobOutcome JobContext::finalize() {
     if (eagerSpill()) {
       // File-backed donation: the committed `job<id>/` files ARE the
       // entry (successful jobs always keep their namespace); the cache
-      // reloads them through the same codec path a reduce fetch uses.
-      d.compressed = spec.compressSpill;
+      // reloads them through readSegmentFile, as a reduce fetch does.
       d.paths.assign(numMaps, std::vector<std::string>(numReduces));
       for (std::uint32_t m = 0; m < numMaps; ++m) {
         for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
@@ -773,66 +742,47 @@ void JobContext::runMap(std::uint32_t m) {
   std::vector<std::shared_ptr<const Segment>> localSegments(numReduces);
   std::vector<std::uint64_t> localSegBytes;
   std::uint64_t bytesSpilled = 0;
-  if (eagerSpill() && spillPool != nullptr) {
-    SpillWriterPool::Batch batch;
-    std::atomic<std::uint64_t> batchBytes{0};
-    for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
-      Segment* seg = &produced[kb];
-      spillPool->submit(
-          batch, [this, seg, m, kb, attempt,
-                  &batchBytes](std::vector<std::byte>& encodeBuf) {
-            // Pool threads are not workers: install the recorder per
-            // item so encode/write spans land on the owning job's trace
-            // (a shared pool interleaves items from many jobs).
-            obs::ScopedRecorder poolScope(recorder.get());
-            {
-              obs::SpanScope enc(obs::Phase::kSpillEncode,
-                                 obs::TaskSide::kMap, m, attempt, kb);
-              if (spec.compressSpill) {
-                seg->serializeCompressedInto(encodeBuf, spec.keySpace);
-                compressedSpillBytes.fetch_add(encodeBuf.size(),
-                                               std::memory_order_relaxed);
-              } else {
-                seg->serializeInto(encodeBuf);
-              }
-              enc.setBytes(encodeBuf.size());
-              enc.setRecords(seg->header().numRecords);
-            }
-            batchBytes.fetch_add(encodeBuf.size(), std::memory_order_relaxed);
-            obs::SpanScope write(obs::Phase::kSpillWrite, obs::TaskSide::kMap,
-                                 m, attempt, kb);
-            write.setBytes(encodeBuf.size());
-            spillSegmentAttempt(m, kb, attempt, encodeBuf);
-          });
-    }
-    batch.wait();  // rethrows the first encode/write failure
-    bytesSpilled = batchBytes.load(std::memory_order_relaxed);
-  } else if (eagerSpill()) {
-    std::vector<std::byte> spillBuf;  // one encode buffer for all keyblocks
-    for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
-      // Persist map output to attempt-scoped temp files; nothing is
-      // visible under the committed names until the attempt commits
-      // below (Hadoop commits map output files atomically with the
-      // task).
+  if (eagerSpill()) {
+    // Persist map output to attempt-scoped temp files; nothing is
+    // visible under the committed names until the attempt commits
+    // below (Hadoop commits map output files atomically with the
+    // task). One body encodes and writes a keyblock, on the
+    // spill-writer pool or inline.
+    std::atomic<std::uint64_t> spilled{0};
+    auto writeOne = [this, &produced, &spilled, m, attempt](
+                        std::uint32_t kb, std::vector<std::byte>& buf) {
       {
         obs::SpanScope enc(obs::Phase::kSpillEncode, obs::TaskSide::kMap, m,
                            attempt, kb);
-        if (spec.compressSpill) {
-          produced[kb].serializeCompressedInto(spillBuf, spec.keySpace);
-          compressedSpillBytes.fetch_add(spillBuf.size(),
-                                         std::memory_order_relaxed);
-        } else {
-          produced[kb].serializeInto(spillBuf);
-        }
-        enc.setBytes(spillBuf.size());
+        produced[kb].serializeInto(buf);
+        enc.setBytes(buf.size());
         enc.setRecords(produced[kb].header().numRecords);
       }
-      bytesSpilled += spillBuf.size();
+      spilled.fetch_add(buf.size(), std::memory_order_relaxed);
       obs::SpanScope write(obs::Phase::kSpillWrite, obs::TaskSide::kMap, m,
                            attempt, kb);
-      write.setBytes(spillBuf.size());
-      spillSegmentAttempt(m, kb, attempt, spillBuf);
+      write.setBytes(buf.size());
+      spillSegmentAttempt(m, kb, attempt, buf);
+    };
+    if (spillPool != nullptr) {
+      SpillWriterPool::Batch batch;
+      for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
+        spillPool->submit(batch,
+                          [this, kb, &writeOne](std::vector<std::byte>& buf) {
+                            // Pool threads are not workers: install the
+                            // recorder per item so encode/write spans land
+                            // on the owning job's trace (a shared pool
+                            // interleaves items from many jobs).
+                            obs::ScopedRecorder poolScope(recorder.get());
+                            writeOne(kb, buf);
+                          });
+      }
+      batch.wait();  // rethrows the first encode/write failure
+    } else {
+      std::vector<std::byte> buf;  // one encode buffer for all keyblocks
+      for (std::uint32_t kb = 0; kb < numReduces; ++kb) writeOne(kb, buf);
     }
+    bytesSpilled = spilled.load(std::memory_order_relaxed);
   } else {
     // In-memory and hybrid modes publish handles. The resident
     // footprints are measured here, outside the engine mutex — the
@@ -1034,12 +984,7 @@ void JobContext::maybePressureSpill() {
                           v.attempt, v.kb);
       span.setRecords(v.seg->header().numRecords);
       span.setRepresents(v.seg->header().represents);
-      if (spec.compressSpill) {
-        v.seg->serializeCompressedInto(buf, spec.keySpace);
-        compressedSpillBytes.fetch_add(buf.size(), std::memory_order_relaxed);
-      } else {
-        v.seg->serializeInto(buf);
-      }
+      v.seg->serializeInto(buf);
       span.setBytes(buf.size());
       spillSegmentAttempt(v.m, v.kb, v.attempt, buf);
     };
@@ -1313,11 +1258,9 @@ void JobContext::runReduce(std::uint32_t kb) {
   }
   // Hybrid-mode streams over committed files read their windows lazily
   // during the merge; fold their I/O into the shuffle accounting now
-  // that they are drained. Transports that already counted the full
-  // payload at fetch time (file-served over a resident buffer) leave
-  // countStreamBytes false so nothing is double-counted.
+  // that they are drained.
   for (const FetchedSegment& fs : fetchedInputs) {
-    if (fs.stream != nullptr && fs.countStreamBytes) {
+    if (fs.stream != nullptr) {
       bytesFetched += fs.stream->bytesRead();
     }
   }

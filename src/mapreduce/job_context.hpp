@@ -276,7 +276,6 @@ class JobContext : private TransportSource {
   /// first: it runs latest, so its pages are reclaimed longest).
   std::vector<std::uint32_t> posOf;
   std::atomic<std::uint64_t> pressureSpills{0};
-  std::atomic<std::uint64_t> compressedSpillBytes{0};
 
   // --- reduce state ---
   std::vector<std::vector<std::uint32_t>> deps;  // resolved I_l per keyblock
@@ -385,7 +384,6 @@ class JobContext : private TransportSource {
     return eagerSpill() && !cacheServed;
   }
   bool streamsEvicted() const noexcept override { return budgetEnabled(); }
-  bool compressedFiles() const noexcept override { return spec.compressSpill; }
   const nd::Coord& keySpace() const override { return spec.keySpace; }
   std::size_t mergeWindowBytes() const override {
     return spec.mergeWindowBytes;

@@ -135,6 +135,15 @@ void discardSegmentAttemptFile(const std::string& dir, std::uint32_t mapTask,
       ec);
 }
 
+Segment readSegmentFile(const std::string& path, const nd::Coord& keySpace,
+                        std::uint64_t& bytesRead) {
+  sci::FileStorage file(path, sci::FileStorage::Mode::kOpenReadOnly);
+  std::vector<std::byte> bytes(file.size());
+  file.readAt(0, bytes);
+  bytesRead += bytes.size();
+  return Segment::deserialize(bytes, keySpace);
+}
+
 Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
                  std::vector<KeyValue> records, nd::Coord keySpace)
     : Segment(mapTask, keyblock, {}, {}, std::move(keySpace)) {
@@ -374,20 +383,6 @@ class Writer {
     }
   }
 
-  void u8(std::uint8_t b) { *p_++ = static_cast<std::byte>(b); }
-
-  /// LEB128: 7 payload bits per byte, low bits first, high bit set on
-  /// every byte but the last (at most 10 bytes for a u64).
-  void varint(std::uint64_t x) {
-    while (x >= 0x80) {
-      u8(static_cast<std::uint8_t>((x & 0x7f) | 0x80));
-      x >>= 7;
-    }
-    u8(static_cast<std::uint8_t>(x));
-  }
-
-  const std::byte* pos() const noexcept { return p_; }
-
  private:
   std::byte* p_;
 };
@@ -459,44 +454,6 @@ class Reader {
 /// Smallest possible encoded record: rank-0 key + represents + kind +
 /// scalar payload. Used to validate numRecords before reserving.
 constexpr std::size_t kMinRecordBytes = 8 + 8 + 8 + 8;
-
-/// Compressed-framing floor: 1-byte delta + 1-byte represents + kind
-/// byte + smallest payload (an empty list's 1-byte length varint).
-constexpr std::size_t kMinCompressedRecordBytes = 1 + 1 + 1 + 1;
-
-inline std::size_t varintLen(std::uint64_t x) {
-  std::size_t n = 1;
-  while (x >= 0x80) {
-    x >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-/// Decodes a LEB128 varint at *p without reading past `end`. Returns
-/// false WITHOUT moving *p when the encoding runs off the buffer (the
-/// streaming caller refills and retries); throws std::runtime_error on
-/// an encoding that cannot fit 64 bits.
-bool readVarint(const std::byte*& p, const std::byte* end,
-                std::uint64_t& out) {
-  std::uint64_t x = 0;
-  int shift = 0;
-  const std::byte* q = p;
-  while (true) {
-    if (q == end) return false;
-    const auto b = static_cast<std::uint8_t>(*q++);
-    if (shift == 63 && (b & 0x7f) > 1) {
-      throw std::runtime_error("SegmentStream: varint overflow");
-    }
-    x |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
-    if (shift >= 64) throw std::runtime_error("SegmentStream: varint overflow");
-  }
-  p = q;
-  out = x;
-  return true;
-}
 
 inline double loadF64(const std::byte* p) {
   const std::uint64_t bits = loadU64(p);
@@ -652,161 +609,6 @@ std::uint64_t Segment::residentBytes() const noexcept {
   return bytes;
 }
 
-std::size_t Segment::serializedCompressedSize(const nd::Coord& keySpace) const {
-  if (keySpace.rank() == 0 || !(keySpace == keySpace_)) {
-    throw std::invalid_argument(
-        "Segment::serializeCompressed: key space differs from the "
-        "segment's");
-  }
-  std::size_t size = kHeaderBytes + varintLen(keySpace.rank());
-  for (std::size_t d = 0; d < keySpace.rank(); ++d) {
-    size += varintLen(static_cast<std::uint64_t>(keySpace[d]));
-  }
-  std::uint64_t prev = 0;
-  bool have = false;
-  const auto recordFixed = [&](std::uint64_t lin, std::uint64_t represents) {
-    if (have && lin < prev) {
-      throw std::logic_error(
-          "Segment::serializeCompressed: records not sorted by linear key");
-    }
-    size += varintLen(have ? lin - prev : lin) + varintLen(represents) + 1;
-    prev = lin;
-    have = true;
-  };
-  if (packedMode_) {
-    for (const PackedRecord& r : packed_) {
-      recordFixed(r.lin, r.represents);
-      switch (r.kind) {
-        case ValueKind::kScalar:
-          size += 8;
-          break;
-        case ValueKind::kPartial:
-          size += 24 + varintLen(static_cast<std::uint64_t>(r.payload.partial.count));
-          break;
-        case ValueKind::kList: {
-          const auto& xs = lists_[r.payload.listIndex].asList();
-          size += varintLen(xs.size()) + 8 * xs.size();
-          break;
-        }
-      }
-    }
-    return size;
-  }
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const KeyValue& kv = records_[i];
-    recordFixed(linearKeys_[i], kv.represents);
-    switch (kv.value.kind()) {
-      case ValueKind::kScalar:
-        size += 8;
-        break;
-      case ValueKind::kPartial:
-        size +=
-            24 + varintLen(static_cast<std::uint64_t>(kv.value.asPartial().count));
-        break;
-      case ValueKind::kList: {
-        const auto& xs = kv.value.asList();
-        size += varintLen(xs.size()) + 8 * xs.size();
-        break;
-      }
-    }
-  }
-  return size;
-}
-
-void Segment::serializeCompressedInto(std::vector<std::byte>& out,
-                                      const nd::Coord& keySpace) const {
-  out.resize(serializedCompressedSize(keySpace));  // validates everything
-  Writer w(out.data());
-  w.u64(header_.mapTask);
-  w.u64(header_.keyblock);
-  w.u64(header_.numRecords);
-  w.u64(header_.represents);
-  w.varint(keySpace.rank());
-  for (std::size_t d = 0; d < keySpace.rank(); ++d) {
-    w.varint(static_cast<std::uint64_t>(keySpace[d]));
-  }
-  std::uint64_t prev = 0;
-  bool have = false;
-  const auto delta = [&](std::uint64_t lin) {
-    const std::uint64_t d = have ? lin - prev : lin;
-    prev = lin;
-    have = true;
-    return d;
-  };
-  if (packedMode_) {
-    for (const PackedRecord& r : packed_) {
-      w.varint(delta(r.lin));
-      w.varint(r.represents);
-      w.u8(static_cast<std::uint8_t>(r.kind));
-      switch (r.kind) {
-        case ValueKind::kScalar:
-          w.f64(r.payload.scalar);
-          break;
-        case ValueKind::kPartial: {
-          const Partial& p = r.payload.partial;
-          w.f64(p.sum);
-          w.f64(p.min);
-          w.f64(p.max);
-          w.varint(static_cast<std::uint64_t>(p.count));
-          break;
-        }
-        case ValueKind::kList: {
-          const auto& xs = lists_[r.payload.listIndex].asList();
-          w.varint(xs.size());
-          w.words(xs.data(), xs.size());
-          break;
-        }
-      }
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const KeyValue& kv = records_[i];
-    w.varint(delta(linearKeys_[i]));
-    w.varint(kv.represents);
-    w.u8(static_cast<std::uint8_t>(kv.value.kind()));
-    switch (kv.value.kind()) {
-      case ValueKind::kScalar:
-        w.f64(kv.value.asScalar());
-        break;
-      case ValueKind::kPartial: {
-        const Partial& p = kv.value.asPartial();
-        w.f64(p.sum);
-        w.f64(p.min);
-        w.f64(p.max);
-        w.varint(static_cast<std::uint64_t>(p.count));
-        break;
-      }
-      case ValueKind::kList: {
-        const auto& xs = kv.value.asList();
-        w.varint(xs.size());
-        w.words(xs.data(), xs.size());
-        break;
-      }
-    }
-  }
-}
-
-std::vector<std::byte> Segment::serializeCompressed(
-    const nd::Coord& keySpace) const {
-  std::vector<std::byte> out;
-  serializeCompressedInto(out, keySpace);
-  return out;
-}
-
-Segment Segment::fromStream(SegmentStream& stream) {
-  const SegmentHeader h = stream.header();
-  std::vector<KeyValue> records;
-  records.reserve(h.numRecords);  // bounded by the stream's count check
-  std::vector<std::uint64_t> lin;
-  lin.reserve(h.numRecords);
-  while (!stream.exhausted()) {
-    lin.push_back(stream.currentLin());
-    records.push_back(stream.take());
-  }
-  return Segment(h, std::move(records), std::move(lin), stream.keySpace());
-}
-
 Segment Segment::deserialize(std::span<const std::byte> bytes,
                              const nd::Coord& keySpace) {
   if (keySpace.rank() == 0 || !keySpace.isValidShape()) {
@@ -906,18 +708,17 @@ SegmentHeader Segment::peekHeader(std::span<const std::byte> bytes) {
 // ---- SegmentStream: bounded-window decode of spilled segments ----
 
 SegmentStream::SegmentStream(const std::string& path, std::size_t windowBytes,
-                             bool compressed, const nd::Coord& keySpace)
+                             const nd::Coord& keySpace)
     : SegmentStream(
           std::unique_ptr<sci::Storage>(std::make_unique<sci::FileStorage>(
               path, sci::FileStorage::Mode::kOpenReadOnly)),
-          windowBytes, compressed, keySpace) {}
+          windowBytes, keySpace) {}
 
 SegmentStream::SegmentStream(std::unique_ptr<sci::Storage> storage,
-                             std::size_t windowBytes, bool compressed,
+                             std::size_t windowBytes,
                              const nd::Coord& keySpace)
     : storage_(std::move(storage)),
       windowBytes_(windowBytes),
-      compressed_(compressed),
       keySpace_(keySpace) {
   init();
 }
@@ -942,20 +743,11 @@ void SegmentStream::init() {
   fileOffset_ = Segment::kHeaderBytes;
   bytesRead_ = Segment::kHeaderBytes;
   // Same guard as deserialize: a corrupt count must not drive a huge
-  // reserve downstream — every record costs at least the framing's
-  // per-record floor on the wire.
-  const std::uint64_t minRecord =
-      compressed_ ? kMinCompressedRecordBytes : kMinRecordBytes;
-  if (header_.numRecords > (fileSize_ - Segment::kHeaderBytes) / minRecord) {
+  // reserve downstream — every record costs at least kMinRecordBytes on
+  // the wire.
+  if (header_.numRecords >
+      (fileSize_ - Segment::kHeaderBytes) / kMinRecordBytes) {
     throw std::out_of_range("SegmentStream: record count exceeds input");
-  }
-  if (compressed_) {
-    while (!tryDecodeKeySpace()) {
-      if (fileOffset_ >= fileSize_) {
-        throw std::out_of_range("SegmentStream: truncated");
-      }
-      refill();
-    }
   }
   if (header_.numRecords == 0) {
     finishChecks();
@@ -963,38 +755,6 @@ void SegmentStream::init() {
   }
   exhausted_ = false;
   decodeNext();
-}
-
-bool SegmentStream::tryDecodeKeySpace() {
-  const std::byte* p = buf_.data() + bufPos_;
-  const std::byte* end = buf_.data() + buf_.size();
-  std::uint64_t rank = 0;
-  if (!readVarint(p, end, rank)) return false;
-  if (rank == 0 || rank > nd::kMaxRank) {
-    throw std::runtime_error("SegmentStream: bad key rank");
-  }
-  nd::Coord space = nd::Coord::zeros(rank);
-  std::uint64_t total = 1;
-  constexpr auto kMaxIndex =
-      static_cast<std::uint64_t>(std::numeric_limits<nd::Index>::max());
-  for (std::size_t d = 0; d < rank; ++d) {
-    std::uint64_t ext = 0;
-    if (!readVarint(p, end, ext)) return false;
-    if (ext == 0 || ext > kMaxIndex) {
-      throw std::runtime_error("SegmentStream: bad key space extent");
-    }
-    if (total > kMaxIndex / ext) {
-      throw std::runtime_error("SegmentStream: key space overflow");
-    }
-    total *= ext;
-    space[d] = static_cast<nd::Index>(ext);
-  }
-  if (!(space == keySpace_)) {
-    throw std::runtime_error("SegmentStream: key space mismatch");
-  }
-  spaceSize_ = total;
-  bufPos_ = static_cast<std::size_t>(p - buf_.data());
-  return true;
 }
 
 void SegmentStream::refill() {
@@ -1017,7 +777,7 @@ void SegmentStream::refill() {
 }
 
 void SegmentStream::decodeNext() {
-  while (!(compressed_ ? tryDecodeCompressed() : tryDecodeUncompressed())) {
+  while (!tryDecode()) {
     if (fileOffset_ >= fileSize_) {
       throw std::out_of_range("SegmentStream: truncated");
     }
@@ -1027,7 +787,7 @@ void SegmentStream::decodeNext() {
   repSum_ += cur_.represents;
 }
 
-bool SegmentStream::tryDecodeUncompressed() {
+bool SegmentStream::tryDecode() {
   const std::byte* base = buf_.data();
   const std::byte* p = base + bufPos_;
   const std::byte* end = base + buf_.size();
@@ -1100,89 +860,6 @@ bool SegmentStream::tryDecodeUncompressed() {
   cur_.represents = represents;
   cur_.value = std::move(value);
   curLin_ = *lin;
-  return true;
-}
-
-bool SegmentStream::tryDecodeCompressed() {
-  const std::byte* base = buf_.data();
-  const std::byte* p = base + bufPos_;
-  const std::byte* end = base + buf_.size();
-  std::uint64_t delta = 0;
-  std::uint64_t represents = 0;
-  if (!readVarint(p, end, delta)) return false;
-  if (!readVarint(p, end, represents)) return false;
-  if (p == end) return false;
-  const auto kindByte = static_cast<std::uint8_t>(*p++);
-  Value value;
-  switch (kindByte) {
-    case 0:
-      if (end - p < 8) return false;
-      value = Value::scalar(loadF64(p));
-      p += 8;
-      break;
-    case 1: {
-      if (end - p < 3 * 8) return false;
-      Partial pa;
-      pa.sum = loadF64(p);
-      pa.min = loadF64(p + 8);
-      pa.max = loadF64(p + 16);
-      p += 3 * 8;
-      std::uint64_t count = 0;
-      if (!readVarint(p, end, count)) return false;
-      pa.count = static_cast<std::int64_t>(count);
-      value = Value::partial(pa);
-      break;
-    }
-    case 2: {
-      std::uint64_t n = 0;
-      if (!readVarint(p, end, n)) return false;
-      const std::uint64_t rest =
-          static_cast<std::uint64_t>(end - p) + (fileSize_ - fileOffset_);
-      if (n > rest / 8) {
-        throw std::out_of_range("SegmentStream: list length exceeds input");
-      }
-      if (static_cast<std::uint64_t>(end - p) < 8 * n) return false;
-      std::vector<double> xs(n);
-      if constexpr (std::endian::native == std::endian::little) {
-        if (n > 0) std::memcpy(xs.data(), p, static_cast<std::size_t>(n) * 8);
-      } else {
-        for (std::uint64_t i = 0; i < n; ++i) xs[i] = loadF64(p + 8 * i);
-      }
-      p += 8 * n;
-      value = Value::list(std::move(xs));
-      break;
-    }
-    default:
-      throw std::runtime_error("SegmentStream: bad value kind");
-  }
-  std::uint64_t lin;
-  if (!havePrev_) {
-    lin = delta;
-  } else {
-    if (delta > std::numeric_limits<std::uint64_t>::max() - prevLin_) {
-      throw std::out_of_range("SegmentStream: lin outside key space");
-    }
-    lin = prevLin_ + delta;
-  }
-  if (lin >= spaceSize_) {
-    throw std::out_of_range("SegmentStream: lin outside key space");
-  }
-  // Delinearize with the dense-run bump (sorted runs over row-major
-  // emission make lin == prev + 1 the common case).
-  const std::size_t lastD = keySpace_.rank() - 1;
-  if (havePrev_ && lin == prevLin_ + 1 &&
-      prevKey_[lastD] + 1 < keySpace_[lastD]) {
-    ++prevKey_[lastD];
-  } else if (!havePrev_ || lin != prevLin_) {
-    prevKey_ = nd::delinearize(static_cast<nd::Index>(lin), keySpace_);
-  }
-  bufPos_ = static_cast<std::size_t>(p - base);
-  prevLin_ = lin;
-  havePrev_ = true;
-  cur_.key = prevKey_;
-  cur_.represents = represents;
-  cur_.value = std::move(value);
-  curLin_ = lin;
   return true;
 }
 

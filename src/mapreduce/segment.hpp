@@ -142,6 +142,15 @@ void commitSegmentFile(const std::string& dir, std::uint32_t mapTask,
 void discardSegmentAttemptFile(const std::string& dir, std::uint32_t mapTask,
                                std::uint32_t keyblock, std::uint32_t attempt);
 
+class Segment;
+
+/// Reads a committed spill file whole and decodes it with
+/// Segment::deserialize in `keySpace`; adds the file's size to
+/// `bytesRead`. The engine's whole-segment fetch and the segment
+/// cache's reload of demoted entries both read spill files here.
+Segment readSegmentFile(const std::string& path, const nd::Coord& keySpace,
+                        std::uint64_t& bytesRead);
+
 // ---- packed-sort instrumentation and the radix sort itself ----
 
 /// Counters describing what Segment's key sort actually did. The sort
@@ -163,16 +172,6 @@ struct SortStats {
   std::uint64_t radixPassesSkipped = 0;  ///< passes skipped (constant key byte)
 
   void reset() { *this = SortStats{}; }
-
-  /// Field-wise difference against an earlier snapshot of the same
-  /// thread's counters — how workers compute their per-run delta.
-  SortStats minus(const SortStats& earlier) const noexcept {
-    return SortStats{sortedSkips - earlier.sortedSkips,
-                     comparisonSorts - earlier.comparisonSorts,
-                     radixSorts - earlier.radixSorts,
-                     radixPasses - earlier.radixPasses,
-                     radixPassesSkipped - earlier.radixPassesSkipped};
-  }
 
   /// Field-wise accumulation (JobResult::sortTotals aggregation).
   void add(const SortStats& other) noexcept {
@@ -373,39 +372,6 @@ class Segment {
   /// access the paper describes for the annotation tally.
   static SegmentHeader peekHeader(std::span<const std::byte> bytes);
 
-  // ---- compressed spill framing (JobSpec::compressSpill) ----
-  //
-  // Same 32-byte uncompressed header (peekHeader and the annotation
-  // tally work unchanged), then a self-describing key space (varint
-  // rank + extents) and one record per entry as
-  //   varint(lin delta) varint(represents) kind-byte payload
-  // where scalar/partial/list payloads keep their raw 8-byte words
-  // (varint only the list length and partial count). Records are
-  // sorted by linear key, so deltas are small and the stream drops the
-  // dominant per-record cost: the 8-byte-per-coordinate key encoding.
-
-  /// Exact encoded size of serializeCompressedInto's output.
-  std::size_t serializedCompressedSize(const nd::Coord& keySpace) const;
-
-  /// Compressed encoding into a caller-owned buffer, straight from the
-  /// packed form when present — eviction of a packed segment never
-  /// materializes its KeyValue view — and from the materialized records
-  /// and their linear keys otherwise. Throws std::invalid_argument when
-  /// keySpace is not the segment's own, and std::logic_error when
-  /// records are not sorted by linear key (deltas must be
-  /// non-negative).
-  void serializeCompressedInto(std::vector<std::byte>& out,
-                               const nd::Coord& keySpace) const;
-
-  std::vector<std::byte> serializeCompressed(const nd::Coord& keySpace) const;
-
-  /// Drains a SegmentStream (either framing) into a fully materialized
-  /// segment — the non-windowed decode used where whole-segment access
-  /// is still wanted. Validates exactly what deserialize() validates
-  /// (the stream itself checks truncation, structure, trailing bytes,
-  /// key-space bounds and the annotation sum).
-  static Segment fromStream(class SegmentStream& stream);
-
  private:
   /// Decoder output: materialized records whose linear keys were
   /// computed (and range-checked) while decoding.
@@ -435,12 +401,11 @@ class Segment {
 /// at most `windowBytes` (growing only for a single record larger than
 /// the window), decoding one record at a time, so a reduce task's
 /// resident cost per spilled input is the window — never the whole
-/// decoded segment. Handles both framings: the fixed-width uncompressed
-/// wire format and the varint/delta compressed one (compressed = true).
+/// decoded segment. It reads serialize()'s fixed-width wire format.
 ///
 /// Validation matches Segment::deserialize: structural corruption
-/// (bad kind byte, over-long varint, rank/extent garbage) throws
-/// std::runtime_error, a key outside the key space std::out_of_range;
+/// (bad kind byte, rank garbage) throws std::runtime_error, a key
+/// outside the key space std::out_of_range;
 /// truncation mid-record throws std::out_of_range;
 /// after the last record, trailing bytes and a represents-sum mismatch
 /// with the header annotation are rejected. Short reads from storage
@@ -448,23 +413,20 @@ class Segment {
 class SegmentStream {
  public:
   /// Opens `path` read-only. Every decoded key is linearized in
-  /// `keySpace` (currentLin); the compressed framing's embedded key
-  /// space must equal it. Throws std::invalid_argument when keySpace is
-  /// not a valid non-empty shape.
+  /// `keySpace` (currentLin). Throws std::invalid_argument when keySpace
+  /// is not a valid non-empty shape.
   SegmentStream(const std::string& path, std::size_t windowBytes,
-                bool compressed, const nd::Coord& keySpace);
+                const nd::Coord& keySpace);
 
   /// Same, over caller-provided storage (tests stream MemoryStorage).
   SegmentStream(std::unique_ptr<sci::Storage> storage,
-                std::size_t windowBytes, bool compressed,
-                const nd::Coord& keySpace);
+                std::size_t windowBytes, const nd::Coord& keySpace);
 
   ~SegmentStream();
   SegmentStream(const SegmentStream&) = delete;
   SegmentStream& operator=(const SegmentStream&) = delete;
 
   const SegmentHeader& header() const noexcept { return header_; }
-  const nd::Coord& keySpace() const noexcept { return keySpace_; }
 
   /// True once every record has been consumed (end-of-stream checks
   /// have run by then). A zero-record segment starts exhausted.
@@ -494,22 +456,15 @@ class SegmentStream {
 
  private:
   void init();
-  bool tryDecodeKeySpace();
   void decodeNext();
-  bool tryDecodeUncompressed();
-  bool tryDecodeCompressed();
+  bool tryDecode();
   void refill();
   void finishChecks();
 
   std::unique_ptr<sci::Storage> storage_;
   std::size_t windowBytes_;
-  bool compressed_;
-  /// Job key space: every decoded key is linearized (uncompressed) or
-  /// delinearized (compressed) in it.
+  /// Job key space: every decoded key is linearized in it.
   nd::Coord keySpace_;
-  /// Compressed framing: element count of the key space (bounds every
-  /// decoded linear key).
-  std::uint64_t spaceSize_ = 0;
 
   SegmentHeader header_;
   std::vector<std::byte> buf_;
@@ -522,9 +477,6 @@ class SegmentStream {
   bool exhausted_ = true;
   std::uint64_t decoded_ = 0;  ///< records decoded so far
   std::uint64_t repSum_ = 0;   ///< running represents sum (tally check)
-  std::uint64_t prevLin_ = 0;  ///< delta base / dense-run detection
-  bool havePrev_ = false;
-  nd::Coord prevKey_;  ///< dense-run coord cache (compressed decode)
   std::uint64_t bytesRead_ = 0;
   std::size_t peakWindow_ = 0;
 };

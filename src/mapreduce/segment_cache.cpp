@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "scifile/storage.hpp"
-
 namespace sidr::mr {
 
 namespace {
@@ -23,10 +21,8 @@ std::uint64_t matrixResidentBytes(
 
 /// Re-loads a demoted entry's segments from its committed spill files.
 /// Returns false on any failure (missing file, truncated bytes): the
-/// caller drops the entry and the claimant runs cold. Decoding mirrors
-/// JobContext::loadSpilledSegment — the streaming reader for the
-/// compressed framing, deserialize otherwise, both linearizing keys in
-/// the entry's key space as they decode.
+/// caller drops the entry and the claimant runs cold. Files decode
+/// through readSegmentFile, the reader a reduce fetch uses.
 bool SegmentCache::loadEntryFiles(Entry& entry) {
   if (entry.paths.empty()) return false;
   std::vector<std::vector<std::shared_ptr<const Segment>>> loaded(
@@ -35,19 +31,9 @@ bool SegmentCache::loadEntryFiles(Entry& entry) {
   try {
     for (std::uint32_t m = 0; m < entry.numMaps; ++m) {
       for (std::uint32_t kb = 0; kb < entry.numReduces; ++kb) {
-        const std::string& path = entry.paths[m][kb];
-        Segment seg;
-        if (entry.compressed) {
-          SegmentStream stream(path, /*windowBytes=*/1 << 16,
-                               /*compressed=*/true, entry.keySpace);
-          seg = Segment::fromStream(stream);
-        } else {
-          sci::FileStorage file(path, sci::FileStorage::Mode::kOpenReadOnly);
-          std::vector<std::byte> bytes(file.size());
-          file.readAt(0, bytes);
-          seg = Segment::deserialize(bytes, entry.keySpace);
-        }
-        loaded[m][kb] = std::make_shared<const Segment>(std::move(seg));
+        std::uint64_t bytesRead = 0;
+        loaded[m][kb] = std::make_shared<const Segment>(
+            readSegmentFile(entry.paths[m][kb], entry.keySpace, bytesRead));
       }
     }
   } catch (...) {
@@ -111,7 +97,6 @@ void SegmentCache::insert(SegmentCacheDonation donation) {
   Entry entry;
   entry.numMaps = donation.numMaps;
   entry.numReduces = donation.numReduces;
-  entry.compressed = donation.compressed;
   entry.keySpace = donation.keySpace;
   if (!donation.segments.empty()) {
     entry.segments = std::move(donation.segments);

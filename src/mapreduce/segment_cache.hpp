@@ -21,7 +21,8 @@
 // cache first). Shedding is LRU by fingerprint; an entry whose segments
 // also live in committed spill files (an eager-spill donor's `job<id>/`
 // namespace) is DEMOTED to its file paths instead of dropped, and a
-// later claim re-loads it through the SegmentStream / codec path.
+// later claim re-loads it through readSegmentFile, the reader a reduce
+// fetch uses.
 //
 // Thread safety: externally synchronized. EngineService accesses the
 // cache only under its service mutex; the claim path's file reloads do
@@ -52,9 +53,7 @@ struct SegmentCacheDonation {
   core::Fingerprint128 key{};
   std::uint32_t numMaps = 0;
   std::uint32_t numReduces = 0;
-  /// File framing of `paths` entries (donor's compressSpill), and the
-  /// key space their keys are decoded into on reload.
-  bool compressed = false;
+  /// Key space the `paths` entries' keys are decoded into on reload.
   nd::Coord keySpace;
   std::vector<std::vector<std::shared_ptr<const Segment>>> segments;
   std::vector<std::vector<std::string>> paths;
@@ -115,7 +114,6 @@ class SegmentCache {
   struct Entry {
     std::uint32_t numMaps = 0;
     std::uint32_t numReduces = 0;
-    bool compressed = false;
     nd::Coord keySpace;
     /// Resident handles; all-null rows when demoted to `paths`.
     std::vector<std::vector<std::shared_ptr<const Segment>>> segments;

@@ -23,8 +23,6 @@ const char* shuffleTransportName(ShuffleTransportKind kind) noexcept {
       return "in-process";
     case ShuffleTransportKind::kSocket:
       return "socket";
-    case ShuffleTransportKind::kFileServed:
-      return "file-served";
   }
   return "?";
 }
@@ -283,6 +281,11 @@ SegmentResponseHeader readSegmentResponse(ByteSource& src,
   h.keyblock = getU32(head.data() + 8);
   h.flags = getU32(head.data() + 12);
   h.totalBytes = getU64(head.data() + 16);
+  if (h.flags != 0) {
+    throw TransportError(TransportFaultKind::kCorruptFrame,
+                         "segment response flags " + std::to_string(h.flags) +
+                             " set; the wire carries only the bulk codec");
+  }
   if (h.mapTask != expectMap || h.keyblock != expectKeyblock) {
     throw TransportError(
         TransportFaultKind::kReorderedFrame,
@@ -372,14 +375,12 @@ class InProcessTransport final : public ShuffleTransport {
       } else if (source_.streamsEvicted()) {
         auto stream = std::make_unique<SegmentStream>(
             source_.committedSegmentPath(m, req.keyblock),
-            source_.mergeWindowBytes(), source_.compressedFiles(),
-            source_.keySpace());
+            source_.mergeWindowBytes(), source_.keySpace());
         fs.header = stream->header();
         if (fs.header.numRecords > 0) {
-          fs.stream = std::move(stream);
           // A hybrid stream reads its windows lazily during the merge;
           // its bytes fold into shuffleBytes once it drains.
-          fs.countStreamBytes = true;
+          fs.stream = std::move(stream);
         } else {
           stats.bytesFetched += stream->bytesRead();
         }
@@ -396,12 +397,11 @@ class InProcessTransport final : public ShuffleTransport {
   TransportOptions options_;
 };
 
-// ---- the localhost segment server (kSocket and kFileServed) ----
+// ---- the localhost segment server (kSocket) ----
 
 class SegmentServer {
  public:
-  SegmentServer(ShuffleTransportKind kind, const TransportSource& source)
-      : kind_(kind), source_(source) {
+  explicit SegmentServer(const TransportSource& source) : source_(source) {
     listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listenFd_ < 0) {
       throw std::runtime_error("ShuffleTransport: socket(): " +
@@ -520,22 +520,20 @@ class SegmentServer {
                     const wire::FetchRequestFrame& req) {
     std::vector<std::byte> encodeBuf;
     for (std::uint32_t m : req.maps) {
-      if (kind_ == ShuffleTransportKind::kSocket) {
-        // Served from memory when resident. The locked read is the
-        // point: a server thread never observed the publication order
-        // the engine's lock-free reduce fetch relies on, so it must
-        // take the engine mutex for its snapshot.
-        const std::shared_ptr<const Segment> seg =
-            source_.residentSegmentLocked(m, req.keyblock);
-        if (seg != nullptr) {
-          // serializeInto is const and encodes straight from the
-          // packed form — safe against the owning reduce reading the
-          // same immutable segment concurrently.
-          encodeBuf.clear();
-          seg->serializeInto(encodeBuf);
-          sendSegment(conn, m, req.keyblock, /*flags=*/0, encodeBuf);
-          continue;
-        }
+      // Served from memory when resident. The locked read is the point:
+      // a server thread never observed the publication order the
+      // engine's lock-free reduce fetch relies on, so it must take the
+      // engine mutex for its snapshot.
+      const std::shared_ptr<const Segment> seg =
+          source_.residentSegmentLocked(m, req.keyblock);
+      if (seg != nullptr) {
+        // serializeInto is const and encodes straight from the packed
+        // form — safe against the owning reduce reading the same
+        // immutable segment concurrently.
+        encodeBuf.clear();
+        seg->serializeInto(encodeBuf);
+        sendSegment(conn, m, req.keyblock, encodeBuf);
+        continue;
       }
       serveFile(conn, m, req.keyblock);
     }
@@ -543,12 +541,10 @@ class SegmentServer {
 
   /// Ships one in-memory encoding: header frame, then data frames.
   void sendSegment(wire::SocketConnection& conn, std::uint32_t m,
-                   std::uint32_t kb, std::uint32_t flags,
-                   std::span<const std::byte> bytes) {
+                   std::uint32_t kb, std::span<const std::byte> bytes) {
     wire::SegmentResponseHeader h;
     h.mapTask = m;
     h.keyblock = kb;
-    h.flags = flags;
     h.totalBytes = bytes.size();
     std::vector<std::byte> out;
     wire::appendFrame(out, wire::encodeSegmentResponseHeader(h));
@@ -563,8 +559,9 @@ class SegmentServer {
     }
   }
 
-  /// Streams one committed spill file in bounded chunks — the server
-  /// never holds a whole segment resident.
+  /// Streams one committed spill file (eager spill or an evicted slot)
+  /// in bounded chunks — the server never holds a whole segment
+  /// resident.
   void serveFile(wire::SocketConnection& conn, std::uint32_t m,
                  std::uint32_t kb) {
     sci::FileStorage file(source_.committedSegmentPath(m, kb),
@@ -573,7 +570,6 @@ class SegmentServer {
     wire::SegmentResponseHeader h;
     h.mapTask = m;
     h.keyblock = kb;
-    h.flags = source_.compressedFiles() ? wire::kFlagCompressed : 0;
     h.totalBytes = size;
     std::vector<std::byte> out;
     wire::appendFrame(out, wire::encodeSegmentResponseHeader(h));
@@ -591,7 +587,6 @@ class SegmentServer {
     }
   }
 
-  ShuffleTransportKind kind_;
   const TransportSource& source_;
   std::atomic<bool> stopping_{false};
   int listenFd_ = -1;
@@ -602,20 +597,19 @@ class SegmentServer {
   std::vector<int> connFds_;
 };
 
-// ---- socket-backed client (kSocket and kFileServed) ----
+// ---- socket-backed client (kSocket) ----
 
 class SocketTransport final : public ShuffleTransport {
  public:
-  SocketTransport(ShuffleTransportKind kind, const TransportSource& source,
+  SocketTransport(const TransportSource& source,
                   const TransportOptions& options)
-      : kind_(kind),
-        source_(source),
-        options_(options),
-        server_(kind, source) {}
+      : source_(source), options_(options), server_(source) {}
 
   ~SocketTransport() override { stop(); }
 
-  ShuffleTransportKind kind() const noexcept override { return kind_; }
+  ShuffleTransportKind kind() const noexcept override {
+    return ShuffleTransportKind::kSocket;
+  }
 
   std::vector<FetchedSegment> fetch(const TransportFetchRequest& req,
                                     FetchStats& stats) override {
@@ -657,7 +651,7 @@ class SocketTransport final : public ShuffleTransport {
         std::vector<std::byte> payload;
         const wire::SegmentResponseHeader h = wire::readSegmentResponse(
             *conns[b], batch[i], req.keyblock, payload, &stats);
-        out[b * per + i] = decodeFetched(h, std::move(payload), stats);
+        out[b * per + i] = decodeFetched(h, payload, stats);
       }
     }
     for (auto& c : conns) release(std::move(c));
@@ -719,10 +713,9 @@ class SocketTransport final : public ShuffleTransport {
   }
 
   FetchedSegment decodeFetched(const wire::SegmentResponseHeader& h,
-                               std::vector<std::byte>&& payload,
+                               const std::vector<std::byte>& payload,
                                FetchStats& stats) {
     FetchedSegment fs;
-    const bool compressed = (h.flags & wire::kFlagCompressed) != 0;
     try {
       fs.header = Segment::peekHeader(payload);
     } catch (const std::exception& e) {
@@ -738,31 +731,8 @@ class SocketTransport final : public ShuffleTransport {
     stats.bytesFetched += payload.size();
     if (fs.header.numRecords == 0) return fs;
     try {
-      if (kind_ == ShuffleTransportKind::kFileServed) {
-        // Decode through SegmentStream windows during the merge — the
-        // client never materializes the segment either. The wire bytes
-        // were counted above; the stream re-reads its own in-memory
-        // copy, so countStreamBytes stays false.
-        auto storage = std::make_unique<sci::MemoryStorage>();
-        storage->writeAt(0, payload);
-        fs.stream = std::make_unique<SegmentStream>(
-            std::move(storage), std::max<std::size_t>(
-                                    source_.mergeWindowBytes(), 1),
-            compressed, source_.keySpace());
-      } else if (compressed) {
-        auto storage = std::make_unique<sci::MemoryStorage>();
-        storage->writeAt(0, payload);
-        SegmentStream stream(std::move(storage),
-                             std::max<std::size_t>(
-                                 source_.mergeWindowBytes(), 1),
-                             /*compressed=*/true, source_.keySpace());
-        fs.owned = std::make_unique<Segment>(Segment::fromStream(stream));
-      } else {
-        fs.owned = std::make_unique<Segment>(
-            Segment::deserialize(payload, source_.keySpace()));
-      }
-    } catch (const TransportError&) {
-      throw;
+      fs.owned = std::make_unique<Segment>(
+          Segment::deserialize(payload, source_.keySpace()));
     } catch (const std::exception& e) {
       throw TransportError(TransportFaultKind::kCorruptFrame,
                            std::string("segment payload undecodable: ") +
@@ -771,7 +741,6 @@ class SocketTransport final : public ShuffleTransport {
     return fs;
   }
 
-  ShuffleTransportKind kind_;
   const TransportSource& source_;
   TransportOptions options_;
   SegmentServer server_;
@@ -788,7 +757,7 @@ std::unique_ptr<ShuffleTransport> makeShuffleTransport(
   if (kind == ShuffleTransportKind::kInProcess) {
     return std::make_unique<InProcessTransport>(source, options);
   }
-  return std::make_unique<SocketTransport>(kind, source, options);
+  return std::make_unique<SocketTransport>(source, options);
 }
 
 }  // namespace sidr::mr

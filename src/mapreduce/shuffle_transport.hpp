@@ -2,11 +2,11 @@
 //
 // A reduce task's fetch phase acquires the committed map-output
 // segments of its dependency set. HOW the bytes move is a transport
-// concern with three backends — same-address-space handle/file handoff
-// (the historical path, byte-identical), a localhost socket data plane
-// framing the exact-size bulk codec onto pooled TCP connections, and a
-// file-served plane that streams committed `job<id>/` spill files
-// through bounded windows on both sides of the wire. WHAT the fetch
+// concern with two backends — same-address-space handle/file handoff
+// (the historical path, byte-identical) and a localhost socket data
+// plane framing the exact-size bulk codec onto pooled TCP connections
+// (resident segments encoded on demand, committed `job<id>/` spill
+// files streamed in bounded chunks). WHAT the fetch
 // means is fixed by the engine and identical across backends:
 //
 //  - a reduce fetches only after observing, under the engine mutex,
@@ -21,14 +21,14 @@
 //    FaultPlan::maxFetchAttempts; their partial bytes land in
 //    TransportStats::wastedWireBytes, never JobResult::shuffleBytes.
 //
-// Wire protocol (kSocket / kFileServed; namespace wire below):
+// Wire protocol (kSocket; namespace wire below):
 // little-endian u32 length-prefixed frames, payload <= kFrameMax. A
 // fetch request is ONE frame: {kRequestMagic, keyblock, count, count x
 // map id} — a whole batch of maps per round trip. The server answers
 // per map, in request order: a segment-response header frame
 // {kSegmentMagic, mapTask, keyblock, flags, u64 totalBytes}, then data
 // frames whose payloads concatenate to exactly totalBytes of the
-// segment codec (flags bit0 selects the compressed framing). Empty
+// segment codec. `flags` is reserved and must be zero. Empty
 // segments ship their full 32-byte encoding — no special case on the
 // wire. Every violation maps to a typed TransportError (truncated,
 // corrupt, oversized, reordered, timeout) — malformed input can fail a
@@ -125,9 +125,6 @@ class TransportSource {
   /// (memory budget set) rather than a publication-protocol violation.
   virtual bool streamsEvicted() const noexcept = 0;
 
-  /// True when committed spill files use the compressed framing.
-  virtual bool compressedFiles() const noexcept = 0;
-
   /// Job key space: decoders linearize every fetched key in it.
   virtual const nd::Coord& keySpace() const = 0;
 
@@ -145,12 +142,10 @@ struct FetchedSegment {
   SegmentHeader header;
   std::shared_ptr<const Segment> handle;  ///< resident (in-process)
   std::unique_ptr<Segment> owned;         ///< decoded whole segment
-  std::unique_ptr<SegmentStream> stream;  ///< windowed streaming input
-  /// True when `stream` reads lazily during the merge and its
-  /// bytesRead() must be folded into shuffleBytes AFTER the merge
-  /// drains it (hybrid-eviction streams). False when the fetch already
-  /// accounted the bytes (file-served wire transfers).
-  bool countStreamBytes = false;
+  /// Windowed streaming input over an evicted slot's file (hybrid
+  /// regime). It reads lazily during the merge, so its bytesRead()
+  /// folds into shuffleBytes after the merge drains it.
+  std::unique_ptr<SegmentStream> stream;
 };
 
 /// Per-fetch-attempt data-plane counters. `bytesFetched` keeps the
@@ -221,20 +216,19 @@ inline constexpr std::uint32_t kFrameMax = 64u << 20;
 inline constexpr std::uint64_t kSegmentMax = 1ull << 30;
 
 /// Server-side streaming granule: committed files are served in chunks
-/// of at most this many payload bytes, so the file-served plane never
-/// holds a whole segment resident server-side.
+/// of at most this many payload bytes, so the server never holds a
+/// whole spilled segment resident.
 inline constexpr std::uint32_t kChunkBytes = 256u << 10;
 
 inline constexpr std::uint32_t kRequestMagic = 0x52444953u;   // "SIDR"
 inline constexpr std::uint32_t kSegmentMagic = 0x31474553u;   // "SEG1"
 
-/// flags bit0: payload uses the compressed spill framing.
-inline constexpr std::uint32_t kFlagCompressed = 1u;
-
 /// Decoded segment-response header frame.
 struct SegmentResponseHeader {
   std::uint32_t mapTask = 0;
   std::uint32_t keyblock = 0;
+  /// Reserved: the payload is always the bulk codec, so any set bit is
+  /// a corrupt frame.
   std::uint32_t flags = 0;
   std::uint64_t totalBytes = 0;
 };
@@ -328,8 +322,8 @@ std::vector<std::byte> encodeSegmentResponseHeader(
 /// appending exactly totalBytes of codec payload to `payload`.
 /// Validates against the request order: a response for a different
 /// (map, keyblock) throws kReorderedFrame; bad magic / short header /
-/// totalBytes below the 32-byte codec header / a data frame
-/// overshooting totalBytes throw kCorruptFrame; totalBytes beyond
+/// nonzero flags / totalBytes below the 32-byte codec header / a data
+/// frame overshooting totalBytes throw kCorruptFrame; totalBytes beyond
 /// kSegmentMax throws kOversizedFrame.
 SegmentResponseHeader readSegmentResponse(ByteSource& src,
                                           std::uint32_t expectMap,

@@ -90,18 +90,13 @@ struct PlanOptions {
   std::uint32_t spillWriters = 4;
   std::uint64_t memoryBudgetBytes = 0;
   std::size_t mergeWindowBytes = 1 << 20;
-  bool compressSpill = false;
 
   /// Shuffle data plane (DESIGN.md section 17), forwarded verbatim to
   /// mr::JobSpec::transport. Unset (the default) keeps the engine's
-  /// zero-copy in-process handoff and the planner records its own
-  /// recommendation in QueryPlan::recommendedTransport instead. An
-  /// explicit kFileServed is validated here: it requires an eager-spill
-  /// plan (spillDirectory set, memoryBudgetBytes == 0), since it serves
-  /// committed job<id>/ segment files.
+  /// zero-copy in-process handoff.
   std::optional<mr::ShuffleTransportKind> transport;
-  /// Socket/file-served connection-pool size and per-fetch stall
-  /// timeout, forwarded to the matching mr::JobSpec fields.
+  /// Socket connection-pool size and per-fetch stall timeout,
+  /// forwarded to the matching mr::JobSpec fields.
   std::uint32_t transportConnections = 2;
   std::uint32_t transportTimeoutMillis = 10000;
 
@@ -141,15 +136,6 @@ struct QueryPlan {
   /// lifted to the service level), barrier plans kFifo. Callers
   /// submitting to a service can seed ServiceConfig::policy from it.
   mr::SchedulingPolicy servicePolicy = mr::SchedulingPolicy::kFifo;
-  /// Recommended shuffle transport for this plan: eager-spill plans
-  /// (spillDirectory set, no memory budget) recommend kFileServed —
-  /// their map output is already committed files, so serving those
-  /// files through SegmentStream windows adds no residency — everything
-  /// else recommends the zero-copy kInProcess handoff. Purely advisory:
-  /// the spec carries PlanOptions::transport (or stays unset), never
-  /// this field.
-  mr::ShuffleTransportKind recommendedTransport =
-      mr::ShuffleTransportKind::kInProcess;
 };
 
 /// Canonical MapFingerprint: digests exactly the fields that determine
@@ -158,7 +144,7 @@ struct QueryPlan {
 /// intermediate keySpace and the partition plan (mode + reducer count;
 /// skew bound and extraction are already absorbed via the query).
 /// Execution knobs that cannot change map-output bytes (threads, slots,
-/// spill/budget/compression settings, tracing, fault plans, weights,
+/// spill/budget settings, tracing, fault plans, weights,
 /// priorities) MUST NOT leak into the key: a spilling resubmission of
 /// an in-memory query is a cache HIT. Returns nullopt when datasetId is
 /// empty. The digest is part of the cache key format — pinned by unit

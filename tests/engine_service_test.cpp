@@ -3,8 +3,8 @@
 // every job bit-identical to a solo Engine::run of the same spec:
 //
 //  * config/spec validation shared with the Engine constructor;
-//  * a mixed fleet (in-memory, eager spill, hybrid budget, compressed,
-//    faulted, barrier) over ONE shared spill directory, each output and
+//  * a mixed fleet (in-memory, eager spill, hybrid budget, faulted,
+//    barrier) over ONE shared spill directory, each output and
 //    each job's sort counters identical to its solo baseline;
 //  * failed jobs: wait() rethrows JobError, the job's spill namespace
 //    is removed (kept with keepSpillOnFailure), committed keyblocks
@@ -112,7 +112,6 @@ QueryPlan makePlan(int variant, const std::string& spillDir) {
     opts.memoryBudgetBytes = 2 * mr::SegmentPagePool::kPageBytes;
     opts.mergeWindowBytes = 4096;
   }
-  if (v == 3) opts.compressSpill = true;
   if (v == 4) {
     opts.faultPlan.failMap(0, 1);
     opts.faultPlan.failReduce(1, 1);

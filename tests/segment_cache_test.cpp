@@ -11,7 +11,7 @@
 //    promotion back, graceful miss when the backing files vanish;
 //  * through EngineService: a warm resubmission is bit-identical to its
 //    cold run with ZERO map tasks (pinned by attempt-span counts),
-//    across the in-memory / eager-spill / compressed / hybrid regimes;
+//    across the in-memory / eager-spill / hybrid regimes;
 //    negative keying, faulted and cancelled jobs never donate, eviction
 //    under admission pressure, and cache-off behaves exactly like PR 7;
 //  * a 16-seed cache-on/off differential and concurrency hammers (slow
@@ -88,7 +88,16 @@ std::size_t countSpans(const obs::Trace& trace, obs::Phase phase,
 /// The shuffle regimes a cached query can run under. kFaulted is the
 /// control arm: fault-injected jobs are excluded from the cache by
 /// construction and must behave exactly as without it.
-enum class Regime { kInMemory, kEagerSpill, kCompressed, kHybrid, kFaulted };
+enum class Regime { kInMemory, kEagerSpill, kHybrid, kFaulted };
+
+/// Seed-indexed regime rotation for the differential and the hammer:
+/// five slots, eager spill taking two of them.
+Regime rotatingRegime(std::uint64_t i) {
+  constexpr Regime kRotation[] = {Regime::kInMemory, Regime::kEagerSpill,
+                                  Regime::kEagerSpill, Regime::kHybrid,
+                                  Regime::kFaulted};
+  return kRotation[i % 5];
+}
 
 /// One fingerprinted query plan per (regime, seed). recordTrace is on
 /// so tests can pin span-level facts (zero map attempts on a warm run).
@@ -110,10 +119,6 @@ QueryPlan cachePlan(Regime regime, const std::string& spillDir,
       break;
     case Regime::kEagerSpill:
       opts.spillDirectory = spillDir;
-      break;
-    case Regime::kCompressed:
-      opts.spillDirectory = spillDir;
-      opts.compressSpill = true;
       break;
     case Regime::kHybrid:
       opts.spillDirectory = spillDir;
@@ -359,8 +364,7 @@ TEST(FingerprintPlanner, ExecutionKnobsDoNotLeakIntoTheKey) {
   // cache at the SERVICE level, not by keying them differently.)
   const std::string dir = tempDir("sidr_fp_nonkey");
   for (const Regime regime :
-       {Regime::kEagerSpill, Regime::kCompressed, Regime::kHybrid,
-        Regime::kFaulted}) {
+       {Regime::kEagerSpill, Regime::kHybrid, Regime::kFaulted}) {
     const QueryPlan other = cachePlan(regime, dir, "ds");
     ASSERT_TRUE(other.spec.mapFingerprint.has_value());
     EXPECT_EQ(*other.spec.mapFingerprint, *base.spec.mapFingerprint)
@@ -513,8 +517,8 @@ TEST(SegmentCacheUnit, ShedToZeroEmptiesMemoryOnlyEntries) {
 
 TEST(SegmentCacheUnit, FileBackedEntryDemotesAndPromotes) {
   const std::string dir = tempDir("sidr_cache_files");
-  // Write one committed-segment file the way the spill path frames an
-  // uncompressed segment: Segment::serialize bytes, whole file.
+  // Write one committed-segment file the way the spill path frames a
+  // segment: Segment::serialize bytes, whole file.
   const auto original = makeSegment(0, 0, 5, 7.0);
   const std::vector<std::byte> bytes = original->serialize();
   const std::string path = dir + "/seg_m0_kb0.seg";
@@ -530,7 +534,6 @@ TEST(SegmentCacheUnit, FileBackedEntryDemotesAndPromotes) {
   d.key = testKey(1);
   d.numMaps = 1;
   d.numReduces = 1;
-  d.compressed = false;
   d.keySpace = nd::Coord{8};
   d.paths = {{path}};
   mr::SegmentCache cache(0);
@@ -629,14 +632,12 @@ TEST(SegmentCacheService, WarmResubmissionBitIdenticalWithZeroMapTasks) {
 }
 
 TEST(SegmentCacheService, SpillDonorsServeWarmHitsFromCommittedFiles) {
-  // Eager-spill and compressed donors donate file-backed entries (born
-  // demoted, zero resident charge); the warm claim re-loads them
-  // through the same decode paths a reduce fetch uses.
-  for (const Regime regime : {Regime::kEagerSpill, Regime::kCompressed}) {
-    const std::string dir =
-        tempDir(std::string("sidr_cache_spill_") +
-                (regime == Regime::kCompressed ? "z" : "raw"));
-    const QueryPlan plan = cachePlan(regime, dir, "ds/spill");
+  // Eager-spill donors donate file-backed entries (born demoted, zero
+  // resident charge); the warm claim re-loads them through the same
+  // reader a reduce fetch uses.
+  {
+    const std::string dir = tempDir("sidr_cache_spill_raw");
+    const QueryPlan plan = cachePlan(Regime::kEagerSpill, dir, "ds/spill");
     const mr::JobResult solo = runSolo(plan, 500);
     const auto numMaps = static_cast<std::uint32_t>(plan.spec.splits.size());
 
@@ -920,7 +921,7 @@ TEST(SegmentCacheService, DisabledCacheKeepsColdBehavior) {
 TEST(SegmentCacheService, SixteenSeedDifferentialCacheOnOff) {
   const std::string dir = tempDir("sidr_cache_diff");
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
-    const auto regime = static_cast<Regime>(seed % 5);
+    const Regime regime = rotatingRegime(seed);
     const std::string seedDir = dir + "/s" + std::to_string(seed);
     fs::create_directories(seedDir);
     const QueryPlan plan =
@@ -961,7 +962,7 @@ TEST(SegmentCacheHammer, ConcurrentFingerprintsRaceDonationAndClaim) {
   std::vector<QueryPlan> plans;
   std::vector<mr::JobResult> solos;
   for (std::size_t i = 0; i < kDistinct; ++i) {
-    const auto regime = static_cast<Regime>(i % 5);
+    const Regime regime = rotatingRegime(i);
     plans.push_back(cachePlan(regime, dir, "ds/hammer" + std::to_string(i),
                               41 + i));
     solos.push_back(runSolo(plans.back(), 900 + i));

@@ -4,8 +4,8 @@
 // The headline property is a 16-seed differential: a skew-adapted plan
 // must produce BIT-IDENTICAL collectAll() output to the unrefined plan
 // for the same query, across shuffle regimes (in-memory / eager spill /
-// hybrid budget / compressed) and transports (in-process / socket /
-// file-served) — refinement may only move keys between keyblocks, never
+// hybrid budget) and transports (in-process / socket) — refinement may
+// only move keys between keyblocks, never
 // change a single output byte. The join operator is pinned by a frozen
 // test-local nested-loop oracle written against floor-division geometry
 // (independent of ExtractionMap), and refined dependency sets are
@@ -66,7 +66,6 @@ void ExpectBitIdentical(const std::vector<mr::KeyValue>& a,
 /// Shuffle regime rotation shared by the differential suites.
 struct Regime {
   bool spill = false;
-  bool compress = false;
   std::uint64_t budget = 0;
   mr::ShuffleTransportKind transport = mr::ShuffleTransportKind::kInProcess;
 };
@@ -78,13 +77,10 @@ Regime regimeFor(int seed, const std::string& dirTag) {
       r.transport = (seed / 4) % 2 == 0 ? mr::ShuffleTransportKind::kInProcess
                                         : mr::ShuffleTransportKind::kSocket;
       break;
-    case 1:  // eager spill: all three transports are legal
+    case 1:  // eager spill
       r.spill = true;
-      switch ((seed / 4) % 3) {
-        case 0: r.transport = mr::ShuffleTransportKind::kInProcess; break;
-        case 1: r.transport = mr::ShuffleTransportKind::kSocket; break;
-        default: r.transport = mr::ShuffleTransportKind::kFileServed; break;
-      }
+      r.transport = (seed / 4) % 3 == 0 ? mr::ShuffleTransportKind::kInProcess
+                                        : mr::ShuffleTransportKind::kSocket;
       break;
     case 2:  // hybrid memory budget
       r.spill = true;
@@ -92,11 +88,9 @@ Regime regimeFor(int seed, const std::string& dirTag) {
       r.transport = (seed / 4) % 2 == 0 ? mr::ShuffleTransportKind::kInProcess
                                         : mr::ShuffleTransportKind::kSocket;
       break;
-    default:  // eager spill, compressed framing
+    default:  // eager spill, committed files served over the socket
       r.spill = true;
-      r.compress = true;
-      r.transport = (seed / 4) % 2 == 0 ? mr::ShuffleTransportKind::kSocket
-                                        : mr::ShuffleTransportKind::kFileServed;
+      r.transport = mr::ShuffleTransportKind::kSocket;
       break;
   }
   (void)dirTag;
@@ -105,14 +99,12 @@ Regime regimeFor(int seed, const std::string& dirTag) {
 
 void applyRegime(PlanOptions& opts, const Regime& r, const std::string& dir) {
   if (r.spill) opts.spillDirectory = dir;
-  opts.compressSpill = r.compress;
   opts.memoryBudgetBytes = r.budget;
   opts.transport = r.transport;
 }
 
 std::string regimeName(const Regime& r) {
   std::string s = r.spill ? (r.budget ? "hybrid" : "spill") : "mem";
-  if (r.compress) s += "+z";
   s += std::string("/") + mr::shuffleTransportName(r.transport);
   return s;
 }
